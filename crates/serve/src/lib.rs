@@ -5,9 +5,19 @@
 //! built entirely on `std` networking (the build is offline/vendored — no
 //! tokio, no hyper). The design is deliberately production-shaped:
 //!
-//! - **Worker pool + bounded accept queue** ([`server`]): a fixed number of
-//!   threads drain a `sync_channel` of accepted connections; overflow is
-//!   answered with `503` instead of queueing without bound.
+//! - **One HTTP front end** (private `front` module) behind both the
+//!   query server ([`server`]) and the fleet router ([`router`]). It owns
+//!   everything between the socket and a route function: bind; a bounded
+//!   `sync_channel` accept queue whose overflow is answered with `503`
+//!   (and counted in `{prefix}.rejected.queue_full`) instead of queueing
+//!   without bound; a fixed worker pool; per-request read/write timeouts;
+//!   parse errors mapped to `408`/`413`/`400`; `catch_unwind` panic
+//!   isolation (`500`, `{prefix}.panics`); trace identity from
+//!   `traceparent` or the request sequence, echoed on every response;
+//!   per-endpoint `{prefix}.requests.*` / `{prefix}.latency.*` metrics;
+//!   and graceful drain. `prefix` is `serve` or `router`. Each side plugs
+//!   in only its route function, its per-worker state, and its request
+//!   log.
 //! - **Hot model reload** ([`slot`]): the model lives in an `Arc`-swappable
 //!   [`ModelSlot`]; `POST /admin/reload` swaps a new artifact in with zero
 //!   downtime while in-flight requests finish on the model they started
@@ -18,7 +28,8 @@
 //!   re-probes unhealthy shards, and aggregates `/metrics` with per-shard
 //!   labels. `dd serve --shards N` supervises a whole fleet.
 //! - **Per-request timeouts** ([`http`]): slow or hostile clients hit
-//!   read/write deadlines and size limits, never pinning a worker.
+//!   read/write deadlines and size limits, never pinning a worker; a zero
+//!   timeout is rejected at start-up on both front ends.
 //! - **Sharded LRU score cache** ([`lru`]): entries are keyed by the
 //!   model's content fingerprint, so scores from a swapped-out model
 //!   simply stop matching; eviction only bounds memory, and reloads purge
@@ -53,6 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod front;
 pub mod http;
 pub mod lru;
 pub mod router;

@@ -1,16 +1,13 @@
-//! The query server: a fixed worker pool behind a bounded accept queue,
-//! serving scores out of a hot-swappable [`DirectionalityModel`].
+//! The query server: scores out of a hot-swappable [`DirectionalityModel`],
+//! behind the shared HTTP front end (`front.rs`: bounded accept queue,
+//! worker pool, timeouts, panic isolation, per-endpoint metrics, drain).
 //!
-//! Production shape, not framework shape: the acceptor thread pushes
-//! connections into a bounded `sync_channel` (overflow → immediate `503`
-//! instead of unbounded memory), each worker parses one request per
-//! connection under per-request read/write timeouts, scores through the
-//! sharded LRU cache, and records per-endpoint counters + latency
-//! histograms into a [`Registry`] that `/metrics` exports. The model lives
-//! in a [`ModelSlot`]: `POST /admin/reload` swaps a new artifact in while
-//! in-flight requests finish on the `Arc` they started with (DESIGN.md
-//! §7.14). Shutdown is graceful: stop accepting, drain every queued
-//! connection, join the pool.
+//! This module is the route function and the state behind it: each worker
+//! scores through the sharded LRU cache with its own slot reader and
+//! fold-in scratch buffer, and logs every request with its child spans.
+//! The model lives in a [`ModelSlot`]: `POST /admin/reload` swaps a new
+//! artifact in while in-flight requests finish on the `Arc` they started
+//! with (DESIGN.md §7.14).
 //!
 //! With [`ServeConfig::stream`] on, the server also accepts `POST /ingest`:
 //! JSONL tie events fold into the frozen embedding space through a
@@ -18,35 +15,23 @@
 //! `(fingerprint, src, dst)` cache entries are invalidated — new ties score
 //! within one request of being ingested, without retraining.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::thread::JoinHandle;
+use std::net::SocketAddr;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use dd_graph::NodeId;
-use dd_runtime::{spawn_named, Threads, WorkerPool};
 use dd_stream::{parse_events, StreamEngine};
-use dd_telemetry::export::{prometheus_text, PromFamily};
-use dd_telemetry::trace::{
-    derive_span_id, derive_trace_id, format_traceparent, now_seconds, parse_traceparent,
-    SpanContext,
-};
-use dd_telemetry::{Counter, Event, Gauge, Histogram, MetricSnapshot, ObserverHandle, Registry};
+use dd_telemetry::trace::derive_span_id;
+use dd_telemetry::{Counter, Event, Gauge, MetricSnapshot, ObserverHandle, Registry};
 use deepdirect::{DirectionalityModel, MODEL_SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
 
+use crate::front::{
+    self, error, json, parse_id, Exchange, Front, FrontConfig, Routed, Service, NDJSON, PROM_TEXT,
+};
 use crate::http;
 use crate::lru::ScoreCache;
 use crate::slot::{ModelSlot, SlotReader};
-
-const JSON: &str = "application/json";
-const NDJSON: &str = "application/x-ndjson";
-/// Prometheus text exposition format version 0.0.4.
-const PROM_TEXT: &str = "text/plain; version=0.0.4; charset=utf-8";
 
 /// Server configuration. `Default` is suitable for local use.
 #[derive(Debug, Clone)]
@@ -91,25 +76,16 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    fn validate(&self) -> Result<(), String> {
-        if self.workers == 0 {
-            return Err("serve: need at least one worker".into());
+    fn front(&self) -> FrontConfig<'_> {
+        FrontConfig {
+            prefix: "serve",
+            addr: &self.addr,
+            workers: self.workers,
+            queue_depth: self.queue_depth,
+            request_timeout: self.request_timeout,
+            observer: self.observer.clone(),
         }
-        if self.queue_depth == 0 {
-            return Err("serve: queue depth must be positive".into());
-        }
-        if self.request_timeout.is_zero() {
-            return Err("serve: request timeout must be positive".into());
-        }
-        Ok(())
     }
-}
-
-/// Per-endpoint instruments, registered once at startup so the request path
-/// never takes the registry lock.
-struct EndpointMetrics {
-    requests: Arc<Counter>,
-    latency: Arc<Histogram>,
 }
 
 /// Streaming-ingest state: the engine plus its instruments. Present only
@@ -142,7 +118,8 @@ impl StreamState {
     }
 }
 
-/// Everything a worker needs to answer requests.
+/// The server's shared state: the model slot, cache, stream engine, and the
+/// instruments behind them.
 struct AppState {
     slot: Arc<ModelSlot>,
     cache: Option<ScoreCache>,
@@ -150,16 +127,12 @@ struct AppState {
     stream: Option<StreamState>,
     registry: Arc<Registry>,
     observer: ObserverHandle,
-    request_timeout: Duration,
-    endpoints: Vec<(&'static str, EndpointMetrics)>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     cache_evictions: Arc<Counter>,
     cache_occupancy: Arc<Gauge>,
     /// Dead-generation entries reclaimed on reload (`serve.cache.purged`).
     cache_purged: Arc<Counter>,
-    queue_rejections: Arc<Counter>,
-    panics: Arc<Counter>,
     pool_utilization: Arc<Gauge>,
     /// Current reload generation, exported so dashboards can correlate
     /// latency shifts with model swaps.
@@ -169,9 +142,6 @@ struct AppState {
     started: Instant,
     n_workers: usize,
     panic_route: bool,
-    /// Monotone request sequence; seeds per-request trace IDs when the
-    /// client did not send a `traceparent` header.
-    request_seq: AtomicU64,
 }
 
 /// Per-request cache accounting, collected by [`AppState::score_cached`] so
@@ -183,34 +153,21 @@ struct RouteStats {
     cache_misses: u64,
 }
 
-/// Endpoint labels used in metric names and request-log events.
-const ENDPOINTS: [&str; 10] = [
-    "healthz",
-    "score",
-    "batch",
-    "ingest",
-    "metrics",
-    "admin",
-    "other",
-    "timeout",
-    "malformed",
-    "panic",
-];
+/// One worker's state. The slot reader makes steady-state requests cost one
+/// atomic generation load; only the first request after a reload re-locks
+/// the slot. The scratch vector is the reusable fold-in buffer, so the
+/// streaming score path never allocates. `model`, `generation` and `stats`
+/// belong to the request in hand.
+struct Worker {
+    reader: SlotReader,
+    scratch: Vec<f32>,
+    model: Arc<DirectionalityModel>,
+    generation: u64,
+    stats: RouteStats,
+}
 
 impl AppState {
-    fn new(slot: Arc<ModelSlot>, cfg: &ServeConfig) -> Self {
-        let registry = Arc::new(Registry::new());
-        let endpoints = ENDPOINTS
-            .iter()
-            .map(|&name| {
-                let m = EndpointMetrics {
-                    requests: registry.counter(&format!("serve.requests.{name}")),
-                    // 10 µs … ~84 s exponential latency buckets.
-                    latency: registry.histogram(&format!("serve.latency.{name}"), 1e-5, 2.0, 23),
-                };
-                (name, m)
-            })
-            .collect();
+    fn new(slot: Arc<ModelSlot>, cfg: &ServeConfig, registry: Arc<Registry>) -> Self {
         registry.gauge("serve.pool.workers").set(cfg.workers as f64);
         let model_generation = registry.gauge("serve.model.generation");
         model_generation.set(slot.generation() as f64);
@@ -234,20 +191,15 @@ impl AppState {
             cache_evictions: registry.counter("serve.cache.evictions"),
             cache_occupancy: registry.gauge("serve.cache.occupancy"),
             cache_purged: registry.counter("serve.cache.purged"),
-            queue_rejections: registry.counter("serve.rejected.queue_full"),
-            panics: registry.counter("serve.panics"),
             model_generation,
             model_reloads: registry.counter("serve.model.reloads"),
             observer: cfg.observer.clone(),
-            request_timeout: cfg.request_timeout,
-            endpoints,
             pool_utilization: registry.gauge("serve.pool.utilization"),
             // dd-lint: allow(trace-hygiene) — uptime anchor for /healthz;
             // a process lifetime is not a span.
             started: Instant::now(),
             n_workers: cfg.workers,
             panic_route: cfg.panic_route,
-            request_seq: AtomicU64::new(0),
             registry,
         }
     }
@@ -256,18 +208,19 @@ impl AppState {
     /// pool's wall-clock capacity spent inside request handlers (sum of
     /// per-endpoint latency over `uptime × workers`).
     fn update_pool_utilization(&self) {
-        let busy: f64 = self.endpoints.iter().map(|(_, m)| m.latency.sum()).sum();
+        let busy: f64 = self
+            .registry
+            .snapshot()
+            .iter()
+            .filter_map(|(name, snap)| match snap {
+                MetricSnapshot::Histogram(h) if name.starts_with("serve.latency.") => Some(h.sum),
+                _ => None,
+            })
+            .sum();
         let capacity = self.started.elapsed().as_secs_f64() * self.n_workers as f64;
         if capacity > 0.0 {
             self.pool_utilization.set(busy / capacity);
         }
-    }
-
-    fn endpoint(&self, name: &str) -> Option<&EndpointMetrics> {
-        // ENDPOINTS is tiny and `name` always comes from routing constants;
-        // an unknown name is a routing bug, and losing that one metrics
-        // sample beats panicking on the response path.
-        self.endpoints.iter().find(|(n, _)| *n == name).map(|(_, m)| m)
     }
 
     /// Scores `(src, dst)` against `model` through the LRU cache. `None`
@@ -466,96 +419,130 @@ pub struct IngestResponse {
     pub fingerprint: String,
 }
 
-fn error_body(msg: &str) -> Vec<u8> {
-    format!("{{\"error\":{}}}", serde_json::to_string(&msg.to_string()).unwrap_or_default())
-        .into_bytes()
-}
+impl Service for AppState {
+    type Worker = Worker;
 
-type Routed = (&'static str, u16, &'static str, Vec<u8>);
+    fn worker(&self) -> Worker {
+        let mut reader = self.slot.reader();
+        Worker {
+            model: Arc::clone(reader.current()),
+            generation: reader.generation(),
+            reader,
+            scratch: Vec::new(),
+            stats: RouteStats::default(),
+        }
+    }
 
-fn route(
-    state: &AppState,
-    model: &Arc<DirectionalityModel>,
-    generation: u64,
-    req: &http::Request,
-    scratch: &mut Vec<f32>,
-    stats: &mut RouteStats,
-) -> Routed {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => {
-            let body = HealthResponse {
-                status: "ok".to_string(),
-                ties: model.n_ties(),
-                model_schema: MODEL_SCHEMA_VERSION,
-                model_fingerprint: format!("{:016x}", model.fingerprint()),
-                generation: Some(generation),
-                live_dynamic: state.stream.as_ref().map(|s| s.read_engine().live_dynamic() as u64),
-            };
-            ("healthz", 200, JSON, serde_json::to_string(&body).unwrap_or_default().into_bytes())
-        }
-        ("GET", "/score") => score_endpoint(state, model, req, scratch, stats),
-        ("POST", "/batch") => batch_endpoint(state, model, req, scratch, stats),
-        ("POST", "/ingest") => ingest_endpoint(state, req),
-        ("POST", "/admin/reload") => reload_endpoint(state, req),
-        // Fault injection for the chaos suite (ServeConfig::panic_route);
-        // with the flag off this falls through to the 404 arm.
-        ("GET", "/__panic") if state.panic_route => {
-            panic!("injected handler panic via /__panic")
-        }
-        ("GET", "/metrics") => {
-            if let Some(cache) = &state.cache {
-                state.cache_occupancy.set(cache.len() as f64);
+    fn begin(&self, w: &mut Worker) {
+        // The request's model snapshot: taken once here so a reload
+        // mid-request cannot change what this request scores against, and
+        // so the response fingerprint always names the model that answered.
+        w.model = Arc::clone(w.reader.current());
+        w.generation = w.reader.generation();
+        w.stats = RouteStats::default();
+    }
+
+    fn route(&self, w: &mut Worker, req: &http::Request, _traceparent: &str) -> Routed {
+        let model = &w.model;
+        match (req.method.as_str(), req.path.as_str()) {
+            ("GET", "/healthz") => {
+                let body = HealthResponse {
+                    status: "ok".to_string(),
+                    ties: model.n_ties(),
+                    model_schema: MODEL_SCHEMA_VERSION,
+                    model_fingerprint: format!("{:016x}", model.fingerprint()),
+                    generation: Some(w.generation),
+                    live_dynamic: self
+                        .stream
+                        .as_ref()
+                        .map(|s| s.read_engine().live_dynamic() as u64),
+                };
+                json("healthz", 200, &body)
             }
-            state.update_pool_utilization();
-            state.model_generation.set(state.slot.generation() as f64);
-            let mut body = render_metrics(&state.registry);
-            // The 64-bit fingerprint cannot ride in an f64 gauge without
-            // precision loss, so it rides as an info-style label instead
-            // (value = generation, like Prometheus build_info).
-            body.extend_from_slice(
-                format!(
-                    "# HELP dd_serve_model_info Identity of the currently served model.\n\
-                     # TYPE dd_serve_model_info gauge\n\
-                     dd_serve_model_info{{fingerprint=\"{:016x}\"}} {}\n",
-                    model.fingerprint(),
-                    generation,
-                )
-                .as_bytes(),
-            );
-            ("metrics", 200, PROM_TEXT, body)
+            ("GET", "/score") => score_endpoint(self, w, req),
+            ("POST", "/batch") => batch_endpoint(self, w, req),
+            ("POST", "/ingest") => ingest_endpoint(self, req),
+            ("POST", "/admin/reload") => reload_endpoint(self, req),
+            // Fault injection for the chaos suite (ServeConfig::panic_route);
+            // with the flag off this falls through to the 404 arm.
+            ("GET", "/__panic") if self.panic_route => {
+                panic!("injected handler panic via /__panic")
+            }
+            ("GET", "/metrics") => {
+                if let Some(cache) = &self.cache {
+                    self.cache_occupancy.set(cache.len() as f64);
+                }
+                self.update_pool_utilization();
+                self.model_generation.set(self.slot.generation() as f64);
+                let mut body = front::render_metrics(&self.registry, "serve", &[]);
+                // The 64-bit fingerprint cannot ride in an f64 gauge without
+                // precision loss, so it rides as an info-style label instead
+                // (value = generation, like Prometheus build_info).
+                body.extend_from_slice(
+                    format!(
+                        "# HELP dd_serve_model_info Identity of the currently served model.\n\
+                         # TYPE dd_serve_model_info gauge\n\
+                         dd_serve_model_info{{fingerprint=\"{:016x}\"}} {}\n",
+                        model.fingerprint(),
+                        w.generation,
+                    )
+                    .as_bytes(),
+                );
+                ("metrics", 200, PROM_TEXT, body)
+            }
+            _ => front::unrouted(req),
         }
-        (_, "/healthz" | "/score" | "/batch" | "/ingest" | "/metrics" | "/admin/reload") => {
-            ("other", 405, JSON, error_body(&format!("method {} not allowed", req.method)))
+    }
+
+    fn log(&self, w: &Worker, exchange: &Exchange) {
+        if !self.observer.is_enabled() {
+            return;
         }
-        (_, path) => ("other", 404, JSON, error_body(&format!("no such endpoint '{path}'"))),
+        emit_request_trace(&self.observer, exchange, &w.stats);
+        let mut e = exchange.event();
+        // The serving model's identity rides on the trace root so a
+        // dashboard can slice request latency by reload generation.
+        e.model_fingerprint = Some(format!("{:016x}", w.model.fingerprint()));
+        e.fields = Some(vec![("model.generation".to_string(), w.generation as f64)]);
+        self.observer.on_event(&e);
     }
 }
 
-fn parse_id(req: &http::Request, key: &str) -> Result<u32, String> {
-    match req.query_param(key) {
-        None => Err(format!("missing query parameter '{key}' (expected /score?src=A&dst=B)")),
-        Some(raw) => raw
-            .parse::<u32>()
-            .map_err(|_| format!("query parameter '{key}' must be a node id, got '{raw}'")),
+/// Parses a `/batch` body: one [`TiePair`] per non-blank JSONL line. Any
+/// malformed line rejects the whole batch before a single pair is scored.
+pub(crate) fn parse_batch(req: &http::Request) -> Result<Vec<TiePair>, Routed> {
+    let Ok(text) = std::str::from_utf8(&req.body) else {
+        return Err(error("batch", 400, "body must be UTF-8 JSONL"));
+    };
+    let mut pairs = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        match serde_json::from_str::<TiePair>(line) {
+            Ok(p) => pairs.push(p),
+            Err(e) => {
+                let msg = format!("line {}: expected {{\"src\":A,\"dst\":B}}: {e}", i + 1);
+                return Err(error("batch", 400, &msg));
+            }
+        }
     }
+    if pairs.is_empty() {
+        return Err(error("batch", 400, "empty batch: send one JSON pair per line"));
+    }
+    Ok(pairs)
 }
 
-fn score_endpoint(
-    state: &AppState,
-    model: &Arc<DirectionalityModel>,
-    req: &http::Request,
-    scratch: &mut Vec<f32>,
-    stats: &mut RouteStats,
-) -> Routed {
+fn score_endpoint(state: &AppState, w: &mut Worker, req: &http::Request) -> Routed {
     let (src, dst) = match (parse_id(req, "src"), parse_id(req, "dst")) {
         (Ok(s), Ok(d)) => (s, d),
-        (Err(e), _) | (_, Err(e)) => return ("score", 400, JSON, error_body(&e)),
+        (Err(e), _) | (_, Err(e)) => return error("score", 400, &e),
     };
-    let fingerprint = Some(format!("{:016x}", model.fingerprint()));
-    match state.score_cached(model, src, dst, scratch, stats) {
+    let fingerprint = Some(format!("{:016x}", w.model.fingerprint()));
+    match state.score_cached(&w.model, src, dst, &mut w.scratch, &mut w.stats) {
         Some(score) => {
             let body = ScoreResponse { src, dst, score: Some(score), error: None, fingerprint };
-            ("score", 200, JSON, serde_json::to_string(&body).unwrap_or_default().into_bytes())
+            json("score", 200, &body)
         }
         None => {
             let body = ScoreResponse {
@@ -565,61 +552,29 @@ fn score_endpoint(
                 error: Some("unknown tie: pair was not in the training universe".to_string()),
                 fingerprint,
             };
-            ("score", 404, JSON, serde_json::to_string(&body).unwrap_or_default().into_bytes())
+            json("score", 404, &body)
         }
     }
 }
 
-fn batch_endpoint(
-    state: &AppState,
-    model: &Arc<DirectionalityModel>,
-    req: &http::Request,
-    scratch: &mut Vec<f32>,
-    stats: &mut RouteStats,
-) -> Routed {
-    let Ok(text) = std::str::from_utf8(&req.body) else {
-        return ("batch", 400, JSON, error_body("body must be UTF-8 JSONL"));
+fn batch_endpoint(state: &AppState, w: &mut Worker, req: &http::Request) -> Routed {
+    let pairs = match parse_batch(req) {
+        Ok(pairs) => pairs,
+        Err(rejected) => return rejected,
     };
-    let fingerprint = format!("{:016x}", model.fingerprint());
+    let fingerprint = format!("{:016x}", w.model.fingerprint());
     let mut out = String::new();
-    let mut n_pairs = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let pair: TiePair = match serde_json::from_str(line) {
-            Ok(p) => p,
-            Err(e) => {
-                return (
-                    "batch",
-                    400,
-                    JSON,
-                    error_body(&format!("line {}: expected {{\"src\":A,\"dst\":B}}: {e}", i + 1)),
-                )
-            }
-        };
-        n_pairs += 1;
-        let resp = match state.score_cached(model, pair.src, pair.dst, scratch, stats) {
-            Some(score) => ScoreResponse {
-                src: pair.src,
-                dst: pair.dst,
-                score: Some(score),
-                error: None,
-                fingerprint: Some(fingerprint.clone()),
-            },
-            None => ScoreResponse {
-                src: pair.src,
-                dst: pair.dst,
-                score: None,
-                error: Some("unknown tie".to_string()),
-                fingerprint: Some(fingerprint.clone()),
-            },
+    for TiePair { src, dst } in pairs {
+        let score = state.score_cached(&w.model, src, dst, &mut w.scratch, &mut w.stats);
+        let resp = ScoreResponse {
+            src,
+            dst,
+            score,
+            error: score.is_none().then(|| "unknown tie".to_string()),
+            fingerprint: Some(fingerprint.clone()),
         };
         out.push_str(&serde_json::to_string(&resp).unwrap_or_default());
         out.push('\n');
-    }
-    if n_pairs == 0 {
-        return ("batch", 400, JSON, error_body("empty batch: send one JSON pair per line"));
     }
     ("batch", 200, NDJSON, out.into_bytes())
 }
@@ -631,22 +586,21 @@ fn batch_endpoint(
 /// a `400` before the engine sees a single event (DESIGN.md §7.15).
 fn ingest_endpoint(state: &AppState, req: &http::Request) -> Routed {
     let Some(stream) = &state.stream else {
-        return (
+        return error(
             "ingest",
             400,
-            JSON,
-            error_body("streaming ingestion is disabled; start `dd serve` with --stream"),
+            "streaming ingestion is disabled; start `dd serve` with --stream",
         );
     };
     let Ok(text) = std::str::from_utf8(&req.body) else {
-        return ("ingest", 400, JSON, error_body("body must be UTF-8 JSONL"));
+        return error("ingest", 400, "body must be UTF-8 JSONL");
     };
     let events = match parse_events(text) {
         Ok(ev) => ev,
-        Err(e) => return ("ingest", 400, JSON, error_body(&format!("rejected batch: {e}"))),
+        Err(e) => return error("ingest", 400, &format!("rejected batch: {e}")),
     };
     if events.is_empty() {
-        return ("ingest", 400, JSON, error_body("empty batch: send one JSON event per line"));
+        return error("ingest", 400, "empty batch: send one JSON event per line");
     }
     // One write-lock hold per batch; scoring reads queue behind it only for
     // the duration of the overlay fold (no I/O, no allocation spikes).
@@ -681,7 +635,7 @@ fn ingest_endpoint(state: &AppState, req: &http::Request) -> Routed {
         digest: format!("{digest:016x}"),
         fingerprint: format!("{fingerprint:016x}"),
     };
-    ("ingest", 200, JSON, serde_json::to_string(&body).unwrap_or_default().into_bytes())
+    json("ingest", 200, &body)
 }
 
 /// `POST /admin/reload`: loads the artifact named in the body off the hot
@@ -692,20 +646,18 @@ fn ingest_endpoint(state: &AppState, req: &http::Request) -> Routed {
 fn reload_endpoint(state: &AppState, req: &http::Request) -> Routed {
     let parsed: Result<ReloadRequest, _> = match std::str::from_utf8(&req.body) {
         Ok(text) => serde_json::from_str(text),
-        Err(_) => return ("admin", 400, JSON, error_body("body must be UTF-8 JSON")),
+        Err(_) => return error("admin", 400, "body must be UTF-8 JSON"),
     };
     let reload = match parsed {
         Ok(r) => r,
-        Err(e) => {
-            return ("admin", 400, JSON, error_body(&format!("expected {{\"path\":\"…\"}}: {e}")))
-        }
+        Err(e) => return error("admin", 400, &format!("expected {{\"path\":\"…\"}}: {e}")),
     };
     let new = match DirectionalityModel::load_from_path(&reload.path) {
         Ok(m) => m,
-        Err(e) => return ("admin", 400, JSON, error_body(&format!("reload failed: {e}"))),
+        Err(e) => return error("admin", 400, &format!("reload failed: {e}")),
     };
     if new.n_ties() == 0 {
-        return ("admin", 400, JSON, error_body("reload rejected: model has no ties"));
+        return error("admin", 400, "reload rejected: model has no ties");
     }
     let new_fingerprint = format!("{:016x}", new.fingerprint());
     let ties = new.n_ties();
@@ -756,158 +708,13 @@ fn reload_endpoint(state: &AppState, req: &http::Request) -> Routed {
         ties,
         cache_purged,
     };
-    ("admin", 200, JSON, serde_json::to_string(&body).unwrap_or_default().into_bytes())
-}
-
-/// Renders the registry in Prometheus text exposition format (0.0.4).
-/// Per-endpoint counters and latency histograms are grouped into labeled
-/// families (`dd_serve_requests_total{endpoint="…"}`,
-/// `dd_serve_latency_seconds_bucket{endpoint="…",le="…"}`); everything else
-/// renders standalone under its sanitized `dd_`-prefixed name.
-fn render_metrics(registry: &Registry) -> Vec<u8> {
-    let families = [
-        PromFamily {
-            prefix: "serve.requests.",
-            family: "dd_serve_requests",
-            label: "endpoint",
-            help: "Requests handled, by endpoint.",
-        },
-        PromFamily {
-            prefix: "serve.latency.",
-            family: "dd_serve_latency_seconds",
-            label: "endpoint",
-            help: "Request wall latency in seconds, by endpoint.",
-        },
-    ];
-    prometheus_text(&registry.snapshot(), &families).into_bytes()
-}
-
-fn handle_connection(
-    state: &AppState,
-    reader_slot: &mut SlotReader,
-    scratch: &mut Vec<f32>,
-    stream: TcpStream,
-    accepted: Instant,
-) {
-    // dd-lint: allow(trace-hygiene) — request latency/queue-wait measurement
-    // is the serving path's own instrumentation, reported via telemetry.
-    let start = Instant::now();
-    let start_seconds = now_seconds();
-    let queue_seconds = start.saturating_duration_since(accepted).as_secs_f64();
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(state.request_timeout));
-    let _ = stream.set_write_timeout(Some(state.request_timeout));
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
-    let parsed = http::read_request(&mut reader);
-
-    // The request's model snapshot: cloned once here so a reload mid-request
-    // cannot change what this request scores against, and so the response
-    // fingerprint always names the model that actually answered.
-    let model = Arc::clone(reader_slot.current());
-    let generation = reader_slot.generation();
-
-    // Request trace identity: a client-supplied `traceparent` wins (the
-    // request joins the caller's trace); otherwise each request opens its
-    // own trace derived from the request sequence number.
-    let seq = state.request_seq.fetch_add(1, Ordering::Relaxed);
-    let client_trace =
-        parsed.as_ref().ok().and_then(|r| r.header("traceparent")).and_then(parse_traceparent);
-    let trace_id = client_trace.unwrap_or_else(|| derive_trace_id(seq, "serve.request"));
-    let root_sid = derive_span_id(trace_id, 0, "serve.request", seq);
-
-    let mut stats = RouteStats::default();
-    let handler_start_seconds = now_seconds();
-    // dd-lint: allow(trace-hygiene) — handler-phase timing for the request
-    // trace's `serve.handler.*` child span.
-    let handler_start = Instant::now();
-    let (endpoint, status, content_type, body) = match parsed {
-        // Panic isolation: a handler panic becomes a `500` to this client
-        // and a `serve.panics` tick; the worker thread survives and keeps
-        // serving. The state captured here is only read behind its own
-        // locks/atomics, so `AssertUnwindSafe` cannot observe broken
-        // invariants.
-        Ok(req) => {
-            match catch_unwind(AssertUnwindSafe(|| {
-                route(state, &model, generation, &req, scratch, &mut stats)
-            })) {
-                Ok(routed) => routed,
-                Err(_) => {
-                    state.panics.incr();
-                    state.observer.on_event(&Event::serve_panic(&req.path));
-                    ("panic", 500, JSON, error_body("internal error: request handler panicked"))
-                }
-            }
-        }
-        // Port probes (and the shutdown wakeup) connect and say nothing;
-        // not a request, nothing to log.
-        Err(http::ParseError::ConnectionClosed) => return,
-        Err(http::ParseError::Timeout) => {
-            ("timeout", 408, JSON, error_body("timed out reading request"))
-        }
-        Err(e @ http::ParseError::TooLarge(_)) => {
-            ("malformed", 413, JSON, error_body(&e.to_string()))
-        }
-        Err(e @ http::ParseError::Malformed(_)) => {
-            ("malformed", 400, JSON, error_body(&e.to_string()))
-        }
-        Err(http::ParseError::Io(_)) => return,
-    };
-    let handler_seconds = handler_start.elapsed().as_secs_f64();
-    let mut write_half = stream;
-    // Echo the request's trace identity so callers can stitch their trace to
-    // the server's JSONL request log.
-    let traceparent = format_traceparent(SpanContext { trace_id, span_id: root_sid });
-    let _ = http::write_response_with_headers(
-        &mut write_half,
-        status,
-        content_type,
-        &[("traceparent", traceparent)],
-        &body,
-    );
-    let seconds = start.elapsed().as_secs_f64();
-    if let Some(m) = state.endpoint(endpoint) {
-        m.requests.incr();
-        m.latency.record(seconds);
-    }
-    if state.observer.is_enabled() {
-        emit_request_trace(
-            state,
-            &RequestTrace { trace_id, root_sid, endpoint, start_seconds, queue_seconds },
-            handler_start_seconds,
-            handler_seconds,
-            &stats,
-        );
-    }
-    let mut e =
-        Event::serve_request(endpoint, status, seconds).with_trace(trace_id, root_sid, None);
-    e.start_seconds = Some(start_seconds);
-    // The serving model's identity rides on the trace root so a dashboard
-    // can slice request latency by reload generation.
-    e.model_fingerprint = Some(format!("{:016x}", model.fingerprint()));
-    e.fields = Some(vec![("model.generation".to_string(), generation as f64)]);
-    state.observer.on_event(&e);
-}
-
-/// Identity and timing of one request's trace root.
-struct RequestTrace {
-    trace_id: u64,
-    root_sid: u64,
-    endpoint: &'static str,
-    start_seconds: f64,
-    queue_seconds: f64,
+    json("admin", 200, &body)
 }
 
 /// Emits the per-request child spans: accept-queue wait, the handler phase,
 /// and cache hit/miss tags. All share the request's trace ID and parent to
 /// the `serve.request` root (the request-log event itself).
-fn emit_request_trace(
-    state: &AppState,
-    req: &RequestTrace,
-    handler_start_seconds: f64,
-    handler_seconds: f64,
-    stats: &RouteStats,
-) {
+fn emit_request_trace(observer: &ObserverHandle, req: &Exchange, stats: &RouteStats) {
     let mut queue = Event::span("serve.queue_wait", Some("serve.request"), req.queue_seconds)
         .with_trace(
             req.trace_id,
@@ -915,14 +722,14 @@ fn emit_request_trace(
             Some(req.root_sid),
         );
     queue.start_seconds = Some((req.start_seconds - req.queue_seconds).max(0.0));
-    state.observer.on_event(&queue);
+    observer.on_event(&queue);
 
     let handler_name = format!("serve.handler.{}", req.endpoint);
     let handler_sid = derive_span_id(req.trace_id, req.root_sid, &handler_name, 0);
-    let mut handler = Event::span(&handler_name, Some("serve.request"), handler_seconds)
+    let mut handler = Event::span(&handler_name, Some("serve.request"), req.handler_seconds)
         .with_trace(req.trace_id, handler_sid, Some(req.root_sid));
-    handler.start_seconds = Some(handler_start_seconds);
-    state.observer.on_event(&handler);
+    handler.start_seconds = Some(req.handler_start_seconds);
+    observer.on_event(&handler);
 
     for (name, count) in
         [("serve.cache.hit", stats.cache_hits), ("serve.cache.miss", stats.cache_misses)]
@@ -936,87 +743,8 @@ fn emit_request_trace(
             Some(handler_sid),
         );
         tag.value = Some(count as f64);
-        tag.start_seconds = Some(handler_start_seconds);
-        state.observer.on_event(&tag);
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    tx: SyncSender<(TcpStream, Instant)>,
-    shutdown: Arc<AtomicBool>,
-    state: Arc<AppState>,
-) {
-    for conn in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match conn {
-            // The accept timestamp rides along so the handling worker can
-            // report how long the connection sat in the queue.
-            // dd-lint: allow(trace-hygiene) — queue-wait enqueue timestamp.
-            Ok(stream) => match tx.try_send((stream, Instant::now())) {
-                Ok(()) => {}
-                Err(TrySendError::Full((stream, _))) => {
-                    state.queue_rejections.incr();
-                    state.observer.on_event(&Event::serve_request("rejected", 503, 0.0));
-                    let mut stream = stream;
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-                    let _ = http::write_response(
-                        &mut stream,
-                        503,
-                        JSON,
-                        &error_body("accept queue full, retry later"),
-                    );
-                }
-                Err(TrySendError::Disconnected(_)) => break,
-            },
-            Err(_) if shutdown.load(Ordering::SeqCst) => break,
-            // Transient accept errors (EMFILE, aborted handshakes) must not
-            // kill the server.
-            Err(_) => {}
-        }
-    }
-}
-
-fn worker_loop(rx: Arc<Mutex<Receiver<(TcpStream, Instant)>>>, state: Arc<AppState>) {
-    // Each worker owns a slot reader: steady-state requests cost one atomic
-    // generation load; only the first request after a reload re-locks the
-    // slot to refresh the cached Arc. The scratch vector is the worker's
-    // reusable fold-in buffer — the streaming score path never allocates.
-    let mut reader_slot = state.slot.reader();
-    let mut scratch: Vec<f32> = Vec::new();
-    loop {
-        // Holding the lock while blocked in `recv` is the shared-receiver
-        // pattern: exactly one worker waits in recv, the rest wait on the
-        // mutex, and handling happens outside the lock — so the pool still
-        // processes in parallel. Poison recovery is sound because nothing
-        // under the lock can panic (it only wraps `recv`); connection
-        // handling runs outside it, under `catch_unwind`.
-        // dd-lint: allow(blocking-while-locked) — shared-receiver idiom:
-        // the mutex IS the recv token for the worker pool, held only for
-        // the blocking recv itself
-        let next = { rx.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).recv() };
-        match next {
-            Ok((stream, accepted)) => {
-                // Backstop: `handle_connection` already isolates handler
-                // panics, but a panic anywhere else on the connection path
-                // (response write, metrics) must not kill the worker either
-                // — a dead worker would silently shrink the pool.
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    handle_connection(&state, &mut reader_slot, &mut scratch, stream, accepted)
-                }));
-                if outcome.is_err() {
-                    state.panics.incr();
-                    // A panic can leave the scratch buffer mid-fill; a fresh
-                    // buffer restores the all-paths-identical invariant
-                    // (the fold-in clears it anyway, but cheap certainty).
-                    scratch = Vec::new();
-                }
-            }
-            // Sender dropped and queue drained: graceful exit.
-            Err(_) => break,
-        }
+        tag.start_seconds = Some(req.handler_start_seconds);
+        observer.on_event(&tag);
     }
 }
 
@@ -1038,39 +766,10 @@ impl Server {
     /// that want to drive swaps directly instead of via `POST /admin/reload`
     /// (tests, embedding hosts).
     pub fn start_with_slot(slot: Arc<ModelSlot>, cfg: ServeConfig) -> Result<ServerHandle, String> {
-        cfg.validate()?;
-        let listener =
-            TcpListener::bind(&cfg.addr).map_err(|e| format!("binding {}: {e}", cfg.addr))?;
-        let addr = listener.local_addr().map_err(|e| e.to_string())?;
-        let state = Arc::new(AppState::new(Arc::clone(&slot), &cfg));
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let (tx, rx) = std::sync::mpsc::sync_channel::<(TcpStream, Instant)>(cfg.queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = {
-            let state = Arc::clone(&state);
-            WorkerPool::start(
-                "dd-serve-worker",
-                Threads::new(cfg.workers).map_err(|e| format!("serve workers: {e}"))?,
-                move |_| worker_loop(Arc::clone(&rx), Arc::clone(&state)),
-            )?
-        };
-
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let state = Arc::clone(&state);
-            spawn_named("dd-serve-acceptor", move || accept_loop(listener, tx, shutdown, state))?
-        };
-
-        Ok(ServerHandle {
-            addr,
-            registry: Arc::clone(&state.registry),
-            observer: cfg.observer,
-            slot,
-            shutdown,
-            acceptor: Some(acceptor),
-            workers,
-        })
+        let registry = Arc::new(Registry::new());
+        let state = AppState::new(Arc::clone(&slot), &cfg, Arc::clone(&registry));
+        let front = Front::start(cfg.front(), registry, Arc::new(state))?;
+        Ok(ServerHandle { front, slot })
     }
 }
 
@@ -1078,24 +777,19 @@ impl Server {
 /// call [`ServerHandle::shutdown`] to do it explicitly and get the request
 /// count back.
 pub struct ServerHandle {
-    addr: SocketAddr,
-    registry: Arc<Registry>,
-    observer: ObserverHandle,
+    front: Front,
     slot: Arc<ModelSlot>,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: WorkerPool,
 }
 
 impl ServerHandle {
     /// The bound address (resolves port `0` to the actual ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// The server's metric registry (same data `/metrics` renders).
     pub fn registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.registry)
+        self.front.registry()
     }
 
     /// The hot-swappable model slot the server scores from.
@@ -1105,43 +799,14 @@ impl ServerHandle {
 
     /// Total requests handled so far, across all endpoints.
     pub fn requests_total(&self) -> u64 {
-        self.registry
-            .snapshot()
-            .into_iter()
-            .filter(|(name, _)| name.starts_with("serve.requests."))
-            .map(|(_, snap)| match snap {
-                MetricSnapshot::Counter(c) => c,
-                _ => 0,
-            })
-            .sum()
+        self.front.requests_total()
     }
 
     /// Graceful shutdown: stop accepting, drain every queued and in-flight
     /// request, join the pool, flush the request log. Returns the total
     /// number of requests served.
     pub fn shutdown(mut self) -> u64 {
-        self.shutdown_impl();
-        self.requests_total()
-    }
-
-    fn shutdown_impl(&mut self) {
-        if self.acceptor.is_none() && self.workers.is_empty() {
-            return;
-        }
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the acceptor's blocking `accept` with a wakeup connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        // The acceptor dropped the sender; workers drain the queue and exit.
-        self.workers.join();
-        self.observer.flush();
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.shutdown_impl();
+        self.front.shutdown();
+        self.front.requests_total()
     }
 }

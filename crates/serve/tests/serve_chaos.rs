@@ -10,30 +10,19 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
-use dd_graph::generators::{social_network, SocialNetConfig};
-use dd_graph::sampling::hide_directions;
 use dd_graph::NodeId;
 use dd_linalg::Pcg32;
 use dd_serve::client;
 use dd_serve::{ScoreResponse, ServeConfig, Server, ServerHandle};
-use dd_telemetry::{Event, MetricSnapshot, ObserverHandle, TrainObserver};
+use dd_telemetry::{MetricSnapshot, ObserverHandle, TrainObserver};
 use dd_testkit::gen::http_request_bytes;
-use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use deepdirect::DirectionalityModel;
 
-fn fit_model() -> DirectionalityModel {
-    let gen_cfg = SocialNetConfig { n_nodes: 80, ..Default::default() };
-    let mut rng = StdRng::seed_from_u64(7);
-    let net = social_network(&gen_cfg, &mut rng).network;
-    let hidden = hide_directions(&net, 0.5, &mut rng).network;
-    let cfg =
-        DeepDirectConfig { dim: 8, max_iterations: Some(8_000), ..DeepDirectConfig::default() };
-    DeepDirect::new(cfg).fit(&hidden)
-}
+mod common;
+use common::{fit_model, CaptureSink, Target, KINDS};
 
 fn start(cfg_mutator: impl FnOnce(&mut ServeConfig)) -> (Arc<DirectionalityModel>, ServerHandle) {
     let model = Arc::new(fit_model());
@@ -54,17 +43,6 @@ fn counter(handle: &ServerHandle, name: &str) -> u64 {
             _ => None,
         })
         .unwrap_or_else(|| panic!("no counter named {name}"))
-}
-
-/// Observer that records every event, so tests can assert on the
-/// `serve.panic` fault log.
-#[derive(Default)]
-struct CaptureSink(Mutex<Vec<Event>>);
-
-impl TrainObserver for CaptureSink {
-    fn on_event(&self, event: &Event) {
-        self.0.lock().unwrap().push(event.clone());
-    }
 }
 
 /// The panic-isolation acceptance test: kill a worker's handler
@@ -157,22 +135,32 @@ fn panic_route_is_a_404_unless_explicitly_enabled() {
     handle.shutdown();
 }
 
-/// Replays 1000 seeded fault schedules against a live server: generated
-/// (mostly hostile) request bytes, seeded truncation, partial sends, and
-/// mid-message client disconnects. Every connection must end in a
-/// well-formed HTTP response or a clean close — zero hangs, zero panics —
-/// and the server must still be healthy and drainable afterwards.
+/// Replays 1000 seeded fault schedules against a live server, and again
+/// against a router in front of one: generated (mostly hostile) request
+/// bytes, seeded truncation, partial sends, and mid-message client
+/// disconnects. Every connection must end in a well-formed HTTP response or
+/// a clean close — zero hangs, zero panics — and the front end must still
+/// be healthy and drainable afterwards.
 #[test]
 fn a_thousand_seeded_fault_schedules_never_wedge_the_server() {
-    const SCHEDULES: u64 = 1000;
+    for kind in KINDS {
+        let target = Target::start(kind, |f| {
+            f.workers = 4;
+            // Tight but safely above scheduling noise; truncated requests
+            // that keep the connection open resolve as 408s quickly.
+            f.request_timeout = Duration::from_millis(500);
+        });
+        let responses_seen = replay_fault_schedules(&target, &format!("{kind:?}"));
+        // Still drains, with every answered request accounted for.
+        let served = target.shutdown();
+        assert!(served >= responses_seen, "{kind:?}: drained {served} < seen {responses_seen}");
+    }
+}
 
-    let (_model, handle) = start(|cfg| {
-        cfg.workers = 4;
-        // Tight but safely above scheduling noise; truncated requests that
-        // keep the connection open resolve as 408s quickly.
-        cfg.request_timeout = Duration::from_millis(500);
-    });
-    let addr = handle.addr();
+/// Replays the schedules against `target`; returns the responses seen.
+fn replay_fault_schedules(target: &Target, kind: &str) -> u64 {
+    const SCHEDULES: u64 = 1000;
+    let addr = target.addr();
 
     let mut responses_seen = 0u64;
     let mut clean_closes = 0u64;
@@ -186,14 +174,15 @@ fn a_thousand_seeded_fault_schedules_never_wedge_the_server() {
         let cut = if rng.gen_bool(0.25) { 1 + rng.gen_range(bytes.len()) } else { bytes.len() };
         let payload = &bytes[..cut];
 
-        let stream = TcpStream::connect(addr).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let stream =
+            TcpStream::connect(&addr).unwrap_or_else(|e| panic!("{kind} seed {seed}: {e}"));
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         stream.set_write_timeout(Some(Duration::from_secs(2))).unwrap();
         let mut stream = stream;
 
-        // Partial sends: 1..=3 chunks. Write errors are legal — the server
-        // may have answered-and-closed already (e.g. 400 on a hostile first
-        // chunk), which surfaces as EPIPE/reset here.
+        // Partial sends: 1..=3 chunks. Write errors are legal — the front
+        // end may have answered-and-closed already (e.g. 400 on a hostile
+        // first chunk), which surfaces as EPIPE/reset here.
         let n_chunks = 1 + rng.gen_range(3);
         let chunk_len = payload.len().div_ceil(n_chunks).max(1);
         let mut write_failed = false;
@@ -217,19 +206,19 @@ fn a_thousand_seeded_fault_schedules_never_wedge_the_server() {
 
         let mut reply = Vec::new();
         match stream.read_to_end(&mut reply) {
-            // A reset from the server counts as a close; it must never be
-            // half a response.
+            // A reset from the front end counts as a close; it must never
+            // be half a response.
             Err(_) => clean_closes += 1,
             Ok(_) if reply.is_empty() => clean_closes += 1,
             Ok(_) => {
                 assert!(
                     reply.starts_with(b"HTTP/1.1 "),
-                    "seed {seed}: response does not start with a status line: {:?}",
+                    "{kind} seed {seed}: response does not start with a status line: {:?}",
                     String::from_utf8_lossy(&reply[..reply.len().min(80)])
                 );
                 assert!(
                     reply.windows(4).any(|w| w == b"\r\n\r\n"),
-                    "seed {seed}: response missing header terminator"
+                    "{kind} seed {seed}: response missing header terminator"
                 );
                 responses_seen += 1;
             }
@@ -237,23 +226,25 @@ fn a_thousand_seeded_fault_schedules_never_wedge_the_server() {
     }
 
     // The schedule mix must have actually exercised both outcomes.
-    assert!(responses_seen > 300, "only {responses_seen} responses across {SCHEDULES} schedules");
+    assert!(
+        responses_seen > 300,
+        "{kind}: only {responses_seen} responses across {SCHEDULES} schedules"
+    );
     assert!(
         clean_closes + early_disconnects > 50,
-        "only {clean_closes} closes + {early_disconnects} disconnects"
+        "{kind}: only {clean_closes} closes + {early_disconnects} disconnects"
     );
 
     // Metrics stayed consistent: no worker panicked, and every well-formed
     // response corresponds to a counted request.
-    assert_eq!(counter(&handle, "serve.panics"), 0, "chaos bytes must never panic a handler");
+    assert_eq!(target.counter("panics"), 0, "{kind}: chaos bytes must never panic a handler");
     assert!(
-        handle.requests_total() >= responses_seen,
-        "requests_total {} < responses seen {responses_seen}",
-        handle.requests_total()
+        target.requests_total() >= responses_seen,
+        "{kind}: requests_total {} < responses seen {responses_seen}",
+        target.requests_total()
     );
 
-    // Still alive, still correct, still drains.
-    assert_eq!(client::get(&addr.to_string(), "/healthz").unwrap().status, 200);
-    let served = handle.shutdown();
-    assert!(served >= responses_seen);
+    // Still alive, still correct.
+    assert_eq!(client::get(&addr, "/healthz").unwrap().status, 200, "{kind}");
+    responses_seen
 }

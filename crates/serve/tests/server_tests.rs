@@ -8,25 +8,14 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dd_graph::generators::{social_network, SocialNetConfig};
-use dd_graph::sampling::hide_directions;
 use dd_graph::NodeId;
 use dd_serve::client;
-use dd_serve::{ScoreResponse, ServeConfig, Server, ServerHandle};
-use dd_telemetry::{MetricSnapshot, ObserverHandle};
-use deepdirect::{DeepDirect, DeepDirectConfig, DirectionalityModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dd_serve::{Router, RouterConfig, ScoreResponse, ServeConfig, Server, ServerHandle};
+use dd_telemetry::{MetricSnapshot, ObserverHandle, TrainObserver};
+use deepdirect::DirectionalityModel;
 
-fn fit_model() -> DirectionalityModel {
-    let gen_cfg = SocialNetConfig { n_nodes: 80, ..Default::default() };
-    let mut rng = StdRng::seed_from_u64(7);
-    let net = social_network(&gen_cfg, &mut rng).network;
-    let hidden = hide_directions(&net, 0.5, &mut rng).network;
-    let cfg =
-        DeepDirectConfig { dim: 8, max_iterations: Some(8_000), ..DeepDirectConfig::default() };
-    DeepDirect::new(cfg).fit(&hidden)
-}
+mod common;
+use common::{fit_model, CaptureSink, Target, KINDS};
 
 fn start(cfg_mutator: impl FnOnce(&mut ServeConfig)) -> (Arc<DirectionalityModel>, ServerHandle) {
     let model = Arc::new(fit_model());
@@ -268,48 +257,113 @@ fn batch_endpoint_scores_many_pairs_per_request() {
 
 #[test]
 fn malformed_requests_get_4xx_not_hangs() {
-    let (_model, handle) = start(|_| {});
-    let addr = handle.addr().to_string();
+    for kind in KINDS {
+        let target = Target::start(kind, |_| {});
+        let addr = target.addr();
 
-    // Missing and unparseable query parameters.
-    assert_eq!(client::get(&addr, "/score").unwrap().status, 400);
-    assert_eq!(client::get(&addr, "/score?src=1").unwrap().status, 400);
-    assert_eq!(client::get(&addr, "/score?src=x&dst=2").unwrap().status, 400);
-    // Unknown route and bad method.
-    assert_eq!(client::get(&addr, "/nope").unwrap().status, 404);
-    assert_eq!(client::post(&addr, "/score?src=1&dst=2", "").unwrap().status, 405);
-    assert_eq!(client::get(&addr, "/batch").unwrap().status, 405);
+        // Missing and unparseable query parameters.
+        assert_eq!(client::get(&addr, "/score").unwrap().status, 400, "{kind:?}");
+        assert_eq!(client::get(&addr, "/score?src=1").unwrap().status, 400, "{kind:?}");
+        assert_eq!(client::get(&addr, "/score?src=x&dst=2").unwrap().status, 400, "{kind:?}");
+        // Unknown route and bad method.
+        assert_eq!(client::get(&addr, "/nope").unwrap().status, 404, "{kind:?}");
+        assert_eq!(client::post(&addr, "/score?src=1&dst=2", "").unwrap().status, 405, "{kind:?}");
+        assert_eq!(client::get(&addr, "/batch").unwrap().status, 405, "{kind:?}");
 
-    // Raw garbage on the socket gets a 400, not a dropped worker.
-    let mut raw = TcpStream::connect(&addr).unwrap();
-    raw.write_all(b"THIS IS NOT HTTP\r\n\r\n").unwrap();
-    let mut buf = String::new();
-    raw.read_to_string(&mut buf).unwrap();
-    assert!(buf.starts_with("HTTP/1.1 400"), "got: {buf}");
+        // Raw garbage on the socket gets a 400, not a dropped worker.
+        let mut raw = TcpStream::connect(&addr).unwrap();
+        raw.write_all(b"THIS IS NOT HTTP\r\n\r\n").unwrap();
+        let mut buf = String::new();
+        raw.read_to_string(&mut buf).unwrap();
+        assert!(buf.starts_with("HTTP/1.1 400"), "{kind:?} got: {buf}");
 
-    // The server is still healthy afterwards.
-    assert_eq!(client::get(&addr, "/healthz").unwrap().status, 200);
-    assert!(counter(&handle, "serve.requests.malformed") >= 1);
-    handle.shutdown();
+        // The front end is still healthy afterwards.
+        assert_eq!(client::get(&addr, "/healthz").unwrap().status, 200, "{kind:?}");
+        assert!(target.counter("requests.malformed") >= 1, "{kind:?}");
+        assert_eq!(target.requests_total(), 8, "{kind:?}: every request counted once");
+        target.shutdown();
+    }
 }
 
 #[test]
 fn slow_clients_hit_the_request_timeout() {
-    let (_model, handle) = start(|cfg| cfg.request_timeout = Duration::from_millis(200));
-    let addr = handle.addr().to_string();
+    for kind in KINDS {
+        let target = Target::start(kind, |f| f.request_timeout = Duration::from_millis(200));
+        let addr = target.addr();
 
-    // Open a connection, send half a request line, then stall.
-    let mut stalled = TcpStream::connect(&addr).unwrap();
-    stalled.write_all(b"GET /score?src=").unwrap();
-    stalled.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let mut buf = String::new();
-    stalled.read_to_string(&mut buf).unwrap();
-    assert!(buf.starts_with("HTTP/1.1 408"), "stalled client should get 408, got: {buf}");
+        // Open a connection, send half a request line, then stall.
+        let mut stalled = TcpStream::connect(&addr).unwrap();
+        stalled.write_all(b"GET /score?src=").unwrap();
+        stalled.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut buf = String::new();
+        stalled.read_to_string(&mut buf).unwrap();
+        assert!(buf.starts_with("HTTP/1.1 408"), "{kind:?}: stalled client should get 408: {buf}");
 
-    assert!(counter(&handle, "serve.requests.timeout") >= 1);
-    // Healthy clients are unaffected.
-    assert_eq!(client::get(&addr, "/healthz").unwrap().status, 200);
-    handle.shutdown();
+        assert!(target.counter("requests.timeout") >= 1, "{kind:?}");
+        // Healthy clients are unaffected.
+        assert_eq!(client::get(&addr, "/healthz").unwrap().status, 200, "{kind:?}");
+        target.shutdown();
+    }
+}
+
+/// A full accept queue answers `503` at once instead of queueing without
+/// bound, and counts the rejection in `{serve|router}.rejected.queue_full`.
+#[test]
+fn a_full_accept_queue_gets_503() {
+    for kind in KINDS {
+        let sink = Arc::new(CaptureSink::default());
+        let observer = ObserverHandle::new(Arc::clone(&sink) as Arc<dyn TrainObserver>);
+        let target = Target::start(kind, |f| {
+            f.workers = 1;
+            f.queue_depth = 1;
+            f.observer = observer;
+        });
+        let addr = target.addr();
+
+        // Pin the only worker on a stalled half-request (the default 5 s
+        // request timeout outlasts the test), then keep connecting: a
+        // connection that gets no answer is waiting in the one-slot queue,
+        // so the one after it must be turned away at once. No step depends
+        // on when the worker picks the stalled connection up.
+        let mut stalled = TcpStream::connect(&addr).unwrap();
+        stalled.write_all(b"GET /score?src=").unwrap();
+        let mut held = vec![stalled];
+        let buf = (0..8)
+            .find_map(|_| {
+                let mut conn = TcpStream::connect(&addr).unwrap();
+                conn.set_read_timeout(Some(Duration::from_millis(500))).unwrap();
+                let mut buf = String::new();
+                match conn.read_to_string(&mut buf) {
+                    Ok(_) => Some(buf),
+                    Err(_) => {
+                        held.push(conn);
+                        None
+                    }
+                }
+            })
+            .unwrap_or_else(|| panic!("{kind:?}: no connection was turned away"));
+        assert!(buf.starts_with("HTTP/1.1 503"), "{kind:?}: overflow should get 503: {buf}");
+        assert!(buf.contains("accept queue full"), "{kind:?}: {buf}");
+        assert!(target.counter("rejected.queue_full") >= 1, "{kind:?}");
+        // The rejection is in the request log too.
+        assert!(
+            sink.0.lock().unwrap().iter().any(|e| e.kind == "serve.request"
+                && e.name.as_deref() == Some("rejected")
+                && e.value == Some(503.0)),
+            "{kind:?}: no rejected request event"
+        );
+
+        // Hanging up on the held connections frees the worker and drains
+        // the queue; the front end then serves again.
+        drop(held);
+        let recovered = (0..50).any(|_| {
+            std::thread::sleep(Duration::from_millis(100));
+            client::get(&addr, "/healthz").is_ok_and(|r| r.status == 200)
+        });
+        assert!(recovered, "{kind:?}: front end did not recover after the overflow");
+        assert!(target.requests_total() >= 1, "{kind:?}");
+        target.shutdown();
+    }
 }
 
 #[test]
@@ -384,4 +438,26 @@ fn rejects_zero_worker_config() {
     let model = Arc::new(fit_model());
     let cfg = ServeConfig { addr: "127.0.0.1:0".to_string(), workers: 0, ..ServeConfig::default() };
     assert!(Server::start(model, cfg).is_err());
+}
+
+/// `Router::start` refuses every config that could never serve.
+#[test]
+fn router_rejects_degenerate_config() {
+    let valid = || RouterConfig {
+        addr: "127.0.0.1:0".to_string(),
+        shards: vec!["127.0.0.1:9".to_string()],
+        ..RouterConfig::default()
+    };
+    let degenerate: [(&str, RouterConfig); 5] = [
+        ("zero workers", RouterConfig { workers: 0, ..valid() }),
+        ("zero queue depth", RouterConfig { queue_depth: 0, ..valid() }),
+        ("zero request timeout", RouterConfig { request_timeout: Duration::ZERO, ..valid() }),
+        ("zero vnodes", RouterConfig { vnodes: 0, ..valid() }),
+        ("no shards", RouterConfig { shards: Vec::new(), ..valid() }),
+    ];
+    for (what, cfg) in degenerate {
+        assert!(Router::start(cfg).is_err(), "router accepted {what}");
+    }
+    // The baseline is valid, so each rejection above is the named field's.
+    assert!(Router::start(valid()).is_ok());
 }
