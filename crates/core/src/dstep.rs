@@ -8,8 +8,10 @@
 //! available via [`DStepHead::Mlp`](crate::config::DStepHead).
 
 use dd_linalg::logreg::{LogRegConfig, LogisticRegression};
+use dd_linalg::matrix::DenseMatrix;
 use dd_linalg::mlp::{Mlp, MlpConfig};
 use dd_linalg::rng::Pcg32;
+use dd_linalg::Rows;
 use dd_telemetry::EpochProgress;
 use serde::{Deserialize, Serialize};
 
@@ -45,19 +47,6 @@ impl DirectionalityHead {
     }
 }
 
-/// Builds the D-Step feature vector for universe tie row `i`: the embedding
-/// `m_e`, optionally extended with the connection vector `n_e` (the
-/// `context_features` extension).
-pub fn tie_feature_vector(estep: &EStepParams, cfg: &DeepDirectConfig, i: usize) -> Vec<f32> {
-    if cfg.context_features {
-        let mut x = estep.m.row(i).to_vec();
-        x.extend_from_slice(estep.n.row(i));
-        x
-    } else {
-        estep.m.row(i).to_vec()
-    }
-}
-
 /// Feature dimensionality of the D-Step under `cfg`.
 pub fn feature_dim(cfg: &DeepDirectConfig) -> usize {
     if cfg.context_features {
@@ -67,19 +56,44 @@ pub fn feature_dim(cfg: &DeepDirectConfig) -> usize {
     }
 }
 
+/// The D-Step's training rows, read in place from the E-Step matrices: row
+/// `i` is `m_e` of the `i`-th labeled tie `e`, extended with `n_e` under
+/// `context_features` (the extension that restores the tail side, DESIGN
+/// §7.5).
+struct TieRows<'a> {
+    m: &'a DenseMatrix,
+    n: Option<&'a DenseMatrix>,
+    ties: Vec<usize>,
+}
+
+impl Rows for TieRows<'_> {
+    fn len(&self) -> usize {
+        self.ties.len()
+    }
+
+    fn copy_row(&self, i: usize, out: &mut [f32]) {
+        let e = self.ties[i];
+        let (head, tail) = out.split_at_mut(self.m.cols());
+        head.copy_from_slice(self.m.row(e));
+        match self.n {
+            Some(n) => tail.copy_from_slice(n.row(e)),
+            None => debug_assert!(tail.is_empty()),
+        }
+    }
+}
+
 /// Trains the D-Step head on the labeled ties of the universe.
 pub fn train(
     universe: &TieUniverse,
     estep: &EStepParams,
     cfg: &DeepDirectConfig,
 ) -> DirectionalityHead {
-    let mut xs: Vec<Vec<f32>> = Vec::new();
-    let mut ys: Vec<f32> = Vec::new();
-    for (i, tie) in universe.labeled_ties() {
-        xs.push(tie_feature_vector(estep, cfg, i));
-        ys.push(tie.label.expect("labeled_ties yields labeled ties"));
-    }
-    assert!(!xs.is_empty(), "TDL requires at least one directed tie (Definition 1)");
+    let (ties, ys): (Vec<usize>, Vec<f32>) = universe
+        .labeled_ties()
+        .map(|(i, tie)| (i, tie.label.expect("labeled_ties yields labeled ties")))
+        .unzip();
+    assert!(!ties.is_empty(), "TDL requires at least one directed tie (Definition 1)");
+    let rows = TieRows { m: &estep.m, n: cfg.context_features.then_some(&estep.n), ties };
     match cfg.head {
         DStepHead::Logistic => {
             // Warm start from (w', b') per Algorithm 1 line 20; the context
@@ -93,26 +107,25 @@ pub fn train(
                 l2: cfg.dstep_l2,
                 seed: cfg.seed ^ 0xd5,
             };
-            if cfg.observer.is_enabled() {
-                let total_epochs = cfg.dstep_epochs as u64;
-                lr.fit_with_progress(&xs, &ys, None, &logreg_cfg, &mut |epoch, loss| {
-                    cfg.observer.on_epoch(&EpochProgress {
-                        stage: "dstep".to_string(),
-                        epoch: epoch as u64,
-                        total_epochs,
-                        loss,
-                    });
+            let total_epochs = cfg.dstep_epochs as u64;
+            let mut report = |epoch: usize, loss: f64| {
+                cfg.observer.on_epoch(&EpochProgress {
+                    stage: "dstep".to_string(),
+                    epoch: epoch as u64,
+                    total_epochs,
+                    loss,
                 });
-            } else {
-                lr.fit(&xs, &ys, None, &logreg_cfg);
-            }
+            };
+            let progress: Option<&mut dyn FnMut(usize, f64)> =
+                if cfg.observer.is_enabled() { Some(&mut report) } else { None };
+            lr.fit_rows(&rows, &ys, None, &logreg_cfg, progress);
             DirectionalityHead::Logistic(lr)
         }
         DStepHead::Mlp => {
             let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0x31a9);
             let mut mlp = Mlp::new(feature_dim(cfg), cfg.mlp_hidden, &mut rng);
-            mlp.fit(
-                &xs,
+            mlp.fit_rows(
+                &rows,
                 &ys,
                 &MlpConfig {
                     hidden: cfg.mlp_hidden,
@@ -150,6 +163,94 @@ mod tests {
         };
         let e = estep::train(&u, &cfg);
         (u, e.params, cfg)
+    }
+
+    /// The D-Step as written before rows were read in place: materialized
+    /// feature vectors and the per-sample SGD loop with its `f32` step
+    /// counter. Returns the head and the per-epoch losses (index order).
+    fn reference_logistic(
+        u: &TieUniverse,
+        params: &EStepParams,
+        cfg: &DeepDirectConfig,
+    ) -> (LogisticRegression, Vec<f64>) {
+        let mut xs = Vec::new();
+        let mut ys = Vec::new();
+        for (i, tie) in u.labeled_ties() {
+            let mut x = params.m.row(i).to_vec();
+            if cfg.context_features {
+                x.extend_from_slice(params.n.row(i));
+            }
+            xs.push(x);
+            ys.push(tie.label.unwrap());
+        }
+        let mut w0 = params.w.clone();
+        w0.resize(feature_dim(cfg), 0.0);
+        let mut model = LogisticRegression::from_params(w0, params.b);
+        let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0xd5);
+        let mut order: Vec<usize> = (0..xs.len()).collect();
+        let total_steps = (cfg.dstep_epochs * xs.len()).max(1) as f32;
+        let mut step = 0f32;
+        let mut losses = Vec::new();
+        for _ in 0..cfg.dstep_epochs {
+            for i in (1..order.len()).rev() {
+                let j = rng.gen_range(i + 1);
+                order.swap(i, j);
+            }
+            for &i in &order {
+                let lr = 0.05 * (1.0 - step / total_steps).max(0.01);
+                model.sgd_step(&xs[i], ys[i], 1.0, lr, cfg.dstep_l2);
+                step += 1.0;
+            }
+            let total: f64 = xs
+                .iter()
+                .zip(&ys)
+                .map(|(x, &y)| dd_linalg::cross_entropy(y as f64, model.predict_proba(x) as f64))
+                .sum();
+            losses.push(total / xs.len() as f64);
+        }
+        (model, losses)
+    }
+
+    #[derive(Default)]
+    struct EpochLosses(std::sync::Mutex<Vec<f64>>);
+
+    impl dd_telemetry::TrainObserver for EpochLosses {
+        fn on_event(&self, e: &dd_telemetry::Event) {
+            if e.kind == dd_telemetry::kind::DSTEP_EPOCH {
+                self.0.lock().unwrap().push(e.sampled_loss.unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn logistic_head_is_bit_identical_to_the_materialized_loop() {
+        let (u, params, cfg) = setup(4);
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for context_features in [false, true] {
+            let cfg = DeepDirectConfig { context_features, dstep_epochs: 6, ..cfg.clone() };
+            let (reference, losses) = reference_logistic(&u, &params, &cfg);
+            let DirectionalityHead::Logistic(plain) = train(&u, &params, &cfg) else {
+                panic!("logistic head expected")
+            };
+            assert_eq!(bits(&plain.w), bits(&reference.w), "context={context_features}");
+            assert_eq!(plain.b.to_bits(), reference.b.to_bits());
+
+            let sink = std::sync::Arc::new(EpochLosses::default());
+            let observed = DeepDirectConfig {
+                observer: dd_telemetry::ObserverHandle::new(sink.clone()),
+                ..cfg
+            };
+            let DirectionalityHead::Logistic(watched) = train(&u, &params, &observed) else {
+                panic!("logistic head expected")
+            };
+            assert_eq!(bits(&watched.w), bits(&reference.w), "context={context_features}");
+            assert_eq!(watched.b.to_bits(), reference.b.to_bits());
+            let seen = sink.0.lock().unwrap();
+            assert_eq!(
+                seen.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
+                losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

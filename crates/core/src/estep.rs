@@ -21,6 +21,17 @@
 //! access goes through raw-pointer reads/writes so no aliased `&mut`
 //! references are ever formed.
 //!
+//! ## Latency hiding
+//!
+//! At paper scale each iteration waits on random row fetches, not on
+//! arithmetic. An iteration is therefore split into its RNG draws
+//! (`Draw`: `e`, `e'`, the λ negatives) and the arithmetic on them
+//! (`apply`). Each worker keeps a ring of `LOOKAHEAD` (8) drawn samples and
+//! prefetches a sample's rows when it draws it, so the misses of the next
+//! iterations overlap the current one. Draws never read the parameters and
+//! happen in the same RNG order as an interleaved loop, so the serial path
+//! is bit-identical to it (pinned by the `serial_estep_matches_*` tests).
+//!
 //! ## Progress telemetry
 //!
 //! When [`DeepDirectConfig::observer`] is attached, the loop periodically
@@ -114,29 +125,117 @@ impl RawParams {
     }
 }
 
-/// One SGD iteration of Algorithm 1 (lines 13–17).
+/// Depth of each worker's ring of pre-drawn samples. A sample is drawn, and
+/// its rows prefetched, seven iterations before it is applied. At paper
+/// scale one iteration (a few µs) already covers a DRAM miss, and depths
+/// 1–16 measured the same; 8 leaves slack for runs of cheap iterations
+/// (labeled ties skip the triad terms) while the ring's rows (≈ 8 × 7 rows
+/// of 256 B at dim 64, λ = 5) stay well inside L2 until they are used.
+const LOOKAHEAD: usize = 8;
+
+/// The random draws of one SGD iteration (Algorithm 1, line 13, plus the
+/// λ negatives): everything an iteration takes from its RNG. None of it
+/// depends on the parameters, so drawing ahead of the updates replays the
+/// same RNG sequence.
+struct Draw {
+    /// `e ~ P_c`.
+    e: usize,
+    /// `e'` uniform from `c(e)`; `None` when `deg_tie(e) = 0`.
+    ep: Option<usize>,
+    /// λ noise ties from `P_n` (empty when `ep` is `None`).
+    negatives: Vec<usize>,
+}
+
+impl Draw {
+    fn with_capacity(negatives: usize) -> Self {
+        Draw { e: 0, ep: None, negatives: Vec::with_capacity(negatives) }
+    }
+
+    /// Redraws this slot, in the RNG order of one iteration.
+    fn draw(
+        &mut self,
+        universe: &TieUniverse,
+        pc: &AliasTable,
+        pn: &AliasTable,
+        cfg: &DeepDirectConfig,
+        rng: &mut Pcg32,
+    ) {
+        self.e = pc.sample(rng);
+        self.ep = universe.sample_connected(self.e, rng);
+        self.negatives.clear();
+        if self.ep.is_some() {
+            self.negatives.extend((0..cfg.negatives).map(|_| pn.sample(rng)));
+        }
+    }
+}
+
+/// Hints the cache to load every line of the `dim`-float row at `row`.
+/// Rows are not line-aligned (a dim-32 row spans three lines), so the walk
+/// starts at the line holding the first float. A prefetch never faults, so
+/// the address arithmetic stays `wrapping_*`; on targets without a prefetch
+/// intrinsic this is a no-op.
+#[inline(always)]
+fn prefetch_row(row: *const f32, dim: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let start = row as *const i8;
+        let end = start.wrapping_add(dim * std::mem::size_of::<f32>());
+        let mut line = start.wrapping_sub(start as usize % 64);
+        while line < end {
+            // SAFETY: PREFETCHT0 is a hint; it never faults or writes,
+            // whatever the address.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(line) };
+            line = line.wrapping_add(64);
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (row, dim);
+}
+
+/// Prefetches the rows [`apply`] will touch for `d`: `m_e`, `n_e'`, the
+/// negatives' `n` rows, and for unlabeled undirected ties under β > 0 the
+/// `m` rows of the triad samples.
+#[inline]
+fn prefetch_draw(raw: &RawParams, universe: &TieUniverse, cfg: &DeepDirectConfig, d: &Draw) {
+    let Some(ep) = d.ep else { return };
+    let dim = raw.dim;
+    let m_row = |e: usize| raw.m.wrapping_add(e * dim) as *const f32;
+    let n_row = |e: usize| raw.n.wrapping_add(e * dim) as *const f32;
+    prefetch_row(m_row(d.e), dim);
+    prefetch_row(n_row(ep), dim);
+    for &ei in &d.negatives {
+        prefetch_row(n_row(ei), dim);
+    }
+    let tie = universe.tie(d.e);
+    if tie.label.is_none() && tie.kind == UniverseKind::Undirected && cfg.beta > 0.0 {
+        for &(uw, vw) in universe.triad_samples(d.e) {
+            prefetch_row(m_row(uw as usize), dim);
+            prefetch_row(m_row(vw as usize), dim);
+        }
+    }
+}
+
+/// The arithmetic of one SGD iteration of Algorithm 1 (lines 14–17) on the
+/// indices in `d`.
 ///
 /// # Safety
 /// `raw` must point to buffers of `universe.len() × dim` (matrices) and
 /// `dim` (weights) floats that stay alive for the call. Concurrent callers
 /// race benignly per the Hogwild protocol.
-#[allow(clippy::too_many_arguments)]
-unsafe fn sgd_iteration(
+unsafe fn apply(
     raw: &RawParams,
     universe: &TieUniverse,
-    pc: &AliasTable,
-    pn: &AliasTable,
     cfg: &DeepDirectConfig,
     lr: f32,
-    rng: &mut Pcg32,
+    d: &Draw,
     grad: &mut [f32],
 ) {
     let dim = raw.dim;
     debug_assert_eq!(grad.len(), dim);
 
-    // Line 13: sample e ~ P_c, e' uniform from c(e).
-    let e = pc.sample(rng);
-    let Some(ep) = universe.sample_connected(e, rng) else {
+    let e = d.e;
+    let Some(ep) = d.ep else {
         return; // deg_tie(e) = 0 has zero P_c mass; defensive only
     };
     let me = raw.m_row(e);
@@ -152,8 +251,7 @@ unsafe fn sgd_iteration(
     axpy_raw(-lr * g_pos, me, nep, dim);
 
     // --- Topology: λ negatives (Eqs. 23, 25) ---
-    for _ in 0..cfg.negatives {
-        let ei = pn.sample(rng);
+    for &ei in &d.negatives {
         if ei == ep {
             continue; // drawing the positive as noise would cancel it
         }
@@ -201,6 +299,49 @@ unsafe fn sgd_iteration(
 
     // Apply the accumulated gradient to m_e (Eq. 23).
     axpy_raw(-lr, gptr, me, dim);
+}
+
+/// One worker's share of the E-Step: `iters` iterations with the learning
+/// rate decayed linearly over them, drawing each sample [`LOOKAHEAD`]
+/// iterations before applying it. `after(done)` runs after every
+/// iteration with the count completed so far (progress reporting).
+///
+/// # Safety
+/// As for [`apply`].
+#[allow(clippy::too_many_arguments)]
+unsafe fn run_worker(
+    raw: &RawParams,
+    universe: &TieUniverse,
+    pc: &AliasTable,
+    pn: &AliasTable,
+    cfg: &DeepDirectConfig,
+    iters: u64,
+    rng: &mut Pcg32,
+    mut after: impl FnMut(u64),
+) {
+    let mut grad = vec![0.0f32; raw.dim];
+    let mut ring: [Draw; LOOKAHEAD] = std::array::from_fn(|_| Draw::with_capacity(cfg.negatives));
+    for d in ring.iter_mut().take(iters.min(LOOKAHEAD as u64) as usize) {
+        d.draw(universe, pc, pn, cfg, rng);
+        prefetch_draw(raw, universe, cfg, d);
+    }
+    for it in 0..iters {
+        let lr = cfg.lr * (1.0 - it as f32 / iters as f32).max(1e-4);
+        let slot = &mut ring[it as usize % LOOKAHEAD];
+        apply(raw, universe, cfg, lr, slot, &mut grad);
+        if it + (LOOKAHEAD as u64) < iters {
+            slot.draw(universe, pc, pn, cfg, rng);
+            prefetch_draw(raw, universe, cfg, slot);
+        }
+        after(it + 1);
+    }
+}
+
+/// Splits `total` iterations over `threads` workers exactly: the first
+/// `total % threads` workers run one extra.
+fn worker_shares(total: u64, threads: usize) -> Vec<u64> {
+    let t = threads as u64;
+    (0..t).map(|i| total / t + u64::from(i < total % t)).collect()
 }
 
 /// Output of [`train`] plus the sampling tables (reused by diagnostics).
@@ -325,23 +466,17 @@ pub fn train(universe: &TieUniverse, cfg: &DeepDirectConfig) -> EStep {
     let per_worker_counts: Vec<u64>;
 
     if cfg.threads <= 1 {
-        let mut grad = vec![0.0f32; dim];
         let mut loss_rng = Pcg32::seed_from_u64(cfg.seed ^ PROGRESS_RNG_SALT);
         let mut until_report = interval;
-        for it in 0..total {
-            let lr = cfg.lr * (1.0 - it as f32 / total as f32).max(1e-4);
-            // SAFETY: exclusive access — `m`, `n`, `w`, `b` outlive the loop
-            // and no other reference touches them.
-            unsafe {
-                sgd_iteration(&raw, universe, &pc, &pn, cfg, lr, &mut rng, &mut grad);
-            }
-            until_report -= 1;
-            if until_report == 0 {
-                until_report = interval;
-                last_reported = it + 1;
-                // SAFETY: single-threaded — estimation reads the buffers the
-                // loop writes, between iterations.
-                unsafe {
+        // SAFETY: exclusive access — `m`, `n`, `w`, `b` outlive the loop and
+        // no other reference touches them; progress estimation reads the
+        // buffers between iterations.
+        unsafe {
+            run_worker(&raw, universe, &pc, &pn, cfg, total, &mut rng, |done| {
+                until_report -= 1;
+                if until_report == 0 {
+                    until_report = interval;
+                    last_reported = done;
                     report_progress(
                         universe,
                         &raw,
@@ -350,17 +485,17 @@ pub fn train(universe: &TieUniverse, cfg: &DeepDirectConfig) -> EStep {
                         cfg,
                         total,
                         start,
-                        it + 1,
-                        vec![it + 1],
+                        done,
+                        vec![done],
                         false,
                         &mut loss_rng,
                     );
                 }
-            }
+            });
         }
         per_worker_counts = vec![total];
     } else {
-        let per_worker = total / cfg.threads as u64 + 1;
+        let shares = worker_shares(total, cfg.threads);
         let mut seeds = split_streams(&mut rng, cfg.threads);
         let counters: Vec<AtomicU64> = (0..cfg.threads).map(|_| AtomicU64::new(0)).collect();
         // Workers arrive on the latch as they finish (via a drop guard, so
@@ -369,27 +504,23 @@ pub fn train(universe: &TieUniverse, cfg: &DeepDirectConfig) -> EStep {
         let done = Latch::new(cfg.threads);
         let reported = AtomicU64::new(0);
         dd_runtime::scope(|s| {
-            for (widx, mut wrng) in seeds.drain(..).enumerate() {
+            for ((mut wrng, &share), counter) in seeds.drain(..).zip(&shares).zip(&counters) {
                 let pc = &pc;
                 let pn = &pn;
-                let counter = &counters[widx];
                 let done = &done;
                 s.spawn(move || {
                     let _arrival = done.guard();
-                    let mut grad = vec![0.0f32; dim];
-                    for it in 0..per_worker {
-                        let lr = cfg.lr * (1.0 - it as f32 / per_worker as f32).max(1e-4);
-                        // SAFETY: Hogwild protocol; see module docs.
-                        unsafe {
-                            sgd_iteration(&raw, universe, pc, pn, cfg, lr, &mut wrng, &mut grad);
-                        }
-                        // Publish progress sparsely; one store per 4096
-                        // iterations is invisible next to the SGD work.
-                        if (it + 1) & 0xFFF == 0 {
-                            counter.store(it + 1, Ordering::Relaxed);
-                        }
+                    // SAFETY: Hogwild protocol; see module docs.
+                    unsafe {
+                        run_worker(&raw, universe, pc, pn, cfg, share, &mut wrng, |it| {
+                            // Publish progress sparsely; one store per 4096
+                            // iterations is invisible next to the SGD work.
+                            if it & 0xFFF == 0 {
+                                counter.store(it, Ordering::Relaxed);
+                            }
+                        });
                     }
-                    counter.store(per_worker, Ordering::Relaxed);
+                    counter.store(share, Ordering::Relaxed);
                 });
             }
             if observing {
@@ -789,7 +920,7 @@ mod tests {
         assert!(out.iters_per_sec > 0.0);
         assert_eq!(out.per_worker_iterations.len(), 3);
         let executed: u64 = out.per_worker_iterations.iter().sum();
-        assert!(executed >= 30_000, "all workers must finish: {executed}");
+        assert_eq!(executed, 30_000, "all workers must finish their shares");
         let events = cap.0.lock().unwrap();
         assert!(
             events.iter().any(|e| e.kind == dd_telemetry::kind::ESTEP_PROGRESS),
@@ -799,6 +930,173 @@ mod tests {
         // Every progress event names one count per worker.
         for e in events.iter().filter(|e| e.kind == dd_telemetry::kind::ESTEP_PROGRESS) {
             assert_eq!(e.per_worker_iterations.as_ref().unwrap().len(), 3);
+        }
+    }
+
+    /// The per-iteration SGD step as written before the draw/apply split:
+    /// draws interleaved with updates. Test-only oracle for the serial pin.
+    ///
+    /// # Safety
+    /// As for [`apply`].
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn reference_iteration(
+        raw: &RawParams,
+        universe: &TieUniverse,
+        pc: &AliasTable,
+        pn: &AliasTable,
+        cfg: &DeepDirectConfig,
+        lr: f32,
+        rng: &mut Pcg32,
+        grad: &mut [f32],
+    ) {
+        let dim = raw.dim;
+        let e = pc.sample(rng);
+        let Some(ep) = universe.sample_connected(e, rng) else { return };
+        let me = raw.m_row(e);
+        grad.fill(0.0);
+        let gptr = grad.as_mut_ptr();
+        let nep = raw.n_row(ep);
+        let g_pos = sigmoid(dot_raw(me, nep, dim)) - 1.0;
+        axpy_raw(g_pos, nep, gptr, dim);
+        axpy_raw(-lr * g_pos, me, nep, dim);
+        for _ in 0..cfg.negatives {
+            let ei = pn.sample(rng);
+            if ei == ep {
+                continue;
+            }
+            let nei = raw.n_row(ei);
+            let g_neg = sigmoid(dot_raw(me, nei, dim));
+            axpy_raw(g_neg, nei, gptr, dim);
+            axpy_raw(-lr * g_neg, me, nei, dim);
+        }
+        let tie = universe.tie(e);
+        let mut g_coef = 0.0f32;
+        if let Some(y) = tie.label {
+            if cfg.alpha > 0.0 {
+                g_coef += cfg.alpha * (raw.predict(e) - y);
+            }
+        } else if tie.kind == UniverseKind::Undirected && cfg.beta > 0.0 {
+            let p = raw.predict(e);
+            let samples = universe.triad_samples(e);
+            if !samples.is_empty() {
+                let mut yt = 0.0f32;
+                for &(uw, vw) in samples {
+                    let puw = raw.predict(uw as usize);
+                    let pvw = raw.predict(vw as usize);
+                    yt += puw / (puw + pvw).max(1e-12);
+                }
+                yt /= samples.len() as f32;
+                g_coef += cfg.beta * (p - yt);
+            }
+            if let Some(yd) = tie.pseudo_degree {
+                if yd as f64 > cfg.degree_threshold {
+                    g_coef += cfg.beta * (p - yd);
+                }
+            }
+        }
+        if !dd_linalg::is_zero32(g_coef) {
+            axpy_raw(g_coef, raw.w, gptr, dim);
+            axpy_raw(-lr * g_coef, me, raw.w, dim);
+            *raw.b -= lr * g_coef;
+        }
+        axpy_raw(-lr, gptr, me, dim);
+    }
+
+    /// The serial E-Step loop as written before the lookahead ring.
+    fn reference_train(universe: &TieUniverse, cfg: &DeepDirectConfig) -> EStepParams {
+        let init = train(universe, &DeepDirectConfig { max_iterations: Some(0), ..cfg.clone() });
+        let mut rng = Pcg32::seed_from_u64(cfg.seed);
+        let mut m = DenseMatrix::uniform_init(universe.len(), cfg.dim, &mut rng);
+        assert_eq!(m.as_slice(), init.params.m.as_slice());
+        let mut n = DenseMatrix::zeros(universe.len(), cfg.dim);
+        let mut w = vec![0.0f32; cfg.dim];
+        let mut b = 0.0f32;
+        let planned = (cfg.tau * universe.n_connected_pairs() as f64).round() as u64;
+        let total = cfg.max_iterations.map_or(planned, |cap| cap.min(planned));
+        let raw = RawParams {
+            m: m.as_mut_slice().as_mut_ptr(),
+            n: n.as_mut_slice().as_mut_ptr(),
+            w: w.as_mut_ptr(),
+            b: &mut b as *mut f32,
+            dim: cfg.dim,
+        };
+        let mut grad = vec![0.0f32; cfg.dim];
+        for it in 0..total {
+            let lr = cfg.lr * (1.0 - it as f32 / total as f32).max(1e-4);
+            // SAFETY: exclusive access to the local buffers.
+            unsafe {
+                reference_iteration(
+                    &raw, universe, &init.pc, &init.pn, cfg, lr, &mut rng, &mut grad,
+                );
+            }
+        }
+        EStepParams { m, n, w, b, iterations: total }
+    }
+
+    fn assert_params_bit_equal(a: &EStepParams, b: &EStepParams) {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a.m.as_slice()), bits(b.m.as_slice()), "m");
+        assert_eq!(bits(a.n.as_slice()), bits(b.n.as_slice()), "n");
+        assert_eq!(bits(&a.w), bits(&b.w), "w");
+        assert_eq!(a.b.to_bits(), b.b.to_bits(), "b");
+        assert_eq!(a.iterations, b.iterations);
+    }
+
+    #[test]
+    fn serial_estep_matches_the_per_iteration_reference() {
+        let u = test_universe(11);
+        for negatives in [1, 7] {
+            let cfg = DeepDirectConfig { negatives, max_iterations: Some(20_003), ..small_cfg() };
+            let out = train(&u, &cfg);
+            assert_params_bit_equal(&out.params, &reference_train(&u, &cfg));
+        }
+        // Fewer iterations than the lookahead depth.
+        let cfg = DeepDirectConfig { max_iterations: Some(3), ..small_cfg() };
+        assert_params_bit_equal(&train(&u, &cfg).params, &reference_train(&u, &cfg));
+    }
+
+    #[test]
+    fn serial_estep_matches_the_reference_with_isolated_ties() {
+        use dd_graph::{NetworkBuilder, NodeId};
+        // A triangle of mixed ties plus an isolated directed pair 4 → 5:
+        // the pair and its mirror have deg_tie = 0.
+        let mut nb = NetworkBuilder::new(6);
+        nb.add_directed(NodeId(0), NodeId(1)).unwrap();
+        nb.add_undirected(NodeId(1), NodeId(2)).unwrap();
+        nb.add_bidirectional(NodeId(2), NodeId(0)).unwrap();
+        nb.add_directed(NodeId(3), NodeId(0)).unwrap();
+        nb.add_undirected(NodeId(3), NodeId(1)).unwrap();
+        nb.add_directed(NodeId(4), NodeId(5)).unwrap();
+        let g = nb.build().unwrap();
+        let u = TieUniverse::build(&g, 4, &mut Pcg32::seed_from_u64(3));
+        assert!((0..u.len()).any(|i| u.tie_degree(i) == 0));
+        for negatives in [1, 7] {
+            let cfg = DeepDirectConfig {
+                dim: 8,
+                negatives,
+                max_iterations: Some(5_000),
+                ..DeepDirectConfig::default()
+            };
+            assert_params_bit_equal(&train(&u, &cfg).params, &reference_train(&u, &cfg));
+        }
+    }
+
+    #[test]
+    fn worker_shares_split_the_total_exactly() {
+        assert_eq!(worker_shares(10_001, 2), vec![5_001, 5_000]);
+        assert_eq!(worker_shares(10_001, 3), vec![3_334, 3_334, 3_333]);
+        assert_eq!(worker_shares(2, 3), vec![1, 1, 0]);
+    }
+
+    #[test]
+    fn hogwild_runs_exactly_the_planned_iterations() {
+        let u = test_universe(12);
+        for threads in [2, 3] {
+            let cfg = DeepDirectConfig { threads, max_iterations: Some(10_001), ..small_cfg() };
+            let out = train(&u, &cfg);
+            assert_eq!(out.per_worker_iterations.len(), threads);
+            assert_eq!(out.per_worker_iterations.iter().sum::<u64>(), 10_001);
+            assert_eq!(out.params.iterations, 10_001);
         }
     }
 

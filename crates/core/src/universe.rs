@@ -61,9 +61,12 @@ pub struct TieUniverse {
     out_ties: Vec<u32>,
     pair_index: FxHashMap<(u32, u32), u32>,
     tie_degrees: Vec<u32>,
+    /// CSR over universe ties: tie `e`'s triad samples are
+    /// `triad_pairs[triad_offsets[e]..triad_offsets[e + 1]]`.
+    triad_offsets: Vec<u32>,
     /// For each undirected universe tie `e = (u, v)`: the universe indices of
     /// `(u, w)` and `(v, w)` for each sampled common neighbor `w ∈ t(u, v)`.
-    triad_samples: Vec<Vec<(u32, u32)>>,
+    triad_pairs: Vec<(u32, u32)>,
     n_connected_pairs: u64,
 }
 
@@ -188,32 +191,49 @@ impl TieUniverse {
         // RNG state and the tie count — never on the thread count.
         let csize = chunk_size(ties.len());
         let streams = split_streams(rng, ties.len().div_ceil(csize));
-        let mut triad_samples: Vec<Vec<(u32, u32)>> = vec![Vec::new(); ties.len()];
-        pool.par_chunks_mut(&mut triad_samples, csize, |offset, slots| {
-            let mut chunk_rng = streams[offset / csize].clone();
-            for (j, slot) in slots.iter_mut().enumerate() {
-                let t = &ties[offset + j];
-                if t.kind != UniverseKind::Undirected {
-                    continue;
-                }
-                let mut cn = common_neighbors(g, t.src, t.dst);
-                // Partial Fisher–Yates to sample up to γ without bias.
-                let take = gamma.min(cn.len());
-                for k in 0..take {
-                    let j = k + chunk_rng.gen_range(cn.len() - k);
-                    cn.swap(k, j);
-                }
-                let mut pairs = Vec::with_capacity(take);
-                for &w in &cn[..take] {
-                    let uw = pair_index.get(&(t.src.0, w.0));
-                    let vw = pair_index.get(&(t.dst.0, w.0));
-                    if let (Some(&uw), Some(&vw)) = (uw, vw) {
-                        pairs.push((uw, vw));
+        // Each chunk fills its own (per-tie sample counts, sample pairs)
+        // slot; the slots are then concatenated in chunk order into one CSR.
+        type Part = (Vec<u32>, Vec<(u32, u32)>);
+        let mut parts: Vec<Part> = vec![(Vec::new(), Vec::new()); streams.len()];
+        pool.par_chunks_mut(&mut parts, 1, |ci, part| {
+            let (counts, pairs) = &mut part[0];
+            let mut chunk_rng = streams[ci].clone();
+            let range = ci * csize..((ci + 1) * csize).min(ties.len());
+            counts.reserve(range.len());
+            for t in &ties[range] {
+                let before = pairs.len();
+                if t.kind == UniverseKind::Undirected {
+                    let mut cn = common_neighbors(g, t.src, t.dst);
+                    // Partial Fisher–Yates to sample up to γ without bias.
+                    let take = gamma.min(cn.len());
+                    for k in 0..take {
+                        let j = k + chunk_rng.gen_range(cn.len() - k);
+                        cn.swap(k, j);
+                    }
+                    for &w in &cn[..take] {
+                        let uw = pair_index.get(&(t.src.0, w.0));
+                        let vw = pair_index.get(&(t.dst.0, w.0));
+                        if let (Some(&uw), Some(&vw)) = (uw, vw) {
+                            pairs.push((uw, vw));
+                        }
                     }
                 }
-                *slot = pairs;
+                counts.push((pairs.len() - before) as u32);
             }
         });
+        let n_pairs: usize = parts.iter().map(|(_, pairs)| pairs.len()).sum();
+        assert!(u32::try_from(n_pairs).is_ok(), "triad samples overflow u32 offsets");
+        let mut triad_offsets = Vec::with_capacity(ties.len() + 1);
+        let mut triad_pairs = Vec::with_capacity(n_pairs);
+        triad_offsets.push(0u32);
+        for (counts, pairs) in parts {
+            let mut end = triad_pairs.len() as u32;
+            for c in counts {
+                end += c;
+                triad_offsets.push(end);
+            }
+            triad_pairs.extend_from_slice(&pairs);
+        }
 
         TieUniverse {
             n_nodes,
@@ -222,7 +242,8 @@ impl TieUniverse {
             out_ties,
             pair_index,
             tie_degrees,
-            triad_samples,
+            triad_offsets,
+            triad_pairs,
             n_connected_pairs,
         }
     }
@@ -287,7 +308,9 @@ impl TieUniverse {
     /// universe indices `((u, w), (v, w))`. Empty for other kinds.
     #[inline]
     pub fn triad_samples(&self, idx: usize) -> &[(u32, u32)] {
-        &self.triad_samples[idx]
+        let s = self.triad_offsets[idx] as usize;
+        let e = self.triad_offsets[idx + 1] as usize;
+        &self.triad_pairs[s..e]
     }
 
     /// Samples a connected tie `e'` of universe tie `e` uniformly, or `None`
@@ -448,13 +471,15 @@ mod tests {
         for threads in [2, 8] {
             let par = build(threads);
             assert_eq!(serial.tie_degrees, par.tie_degrees);
-            assert_eq!(serial.triad_samples, par.triad_samples, "threads={threads}");
+            assert_eq!(serial.triad_offsets, par.triad_offsets, "threads={threads}");
+            assert_eq!(serial.triad_pairs, par.triad_pairs, "threads={threads}");
             assert_eq!(serial.n_connected_pairs, par.n_connected_pairs);
         }
         // The default entry point is the same chunked computation.
         let mut rng = Pcg32::seed_from_u64(99);
         let default_build = TieUniverse::build(&g, 5, &mut rng);
-        assert_eq!(serial.triad_samples, default_build.triad_samples);
+        assert_eq!(serial.triad_offsets, default_build.triad_offsets);
+        assert_eq!(serial.triad_pairs, default_build.triad_pairs);
     }
 
     #[test]

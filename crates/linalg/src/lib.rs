@@ -14,7 +14,8 @@
 //! * logistic regression (the directionality function of Sec. 3.2 and the
 //!   D-Step) — [`logreg`], with an optional AdaGrad trainer — [`adagrad`],
 //! * a one-hidden-layer MLP (the paper's proposed non-linear D-Step
-//!   extension) — [`mlp`],
+//!   extension) — [`mlp`], both heads trained by shuffled-epoch SGD over
+//!   a [`Rows`] source gathered block by block — [`rows`],
 //! * feature standardization — [`scaler`] — and summary statistics
 //!   — [`stats`],
 //! * explicit float comparisons (`is_zero`, `approx_eq`) backing the
@@ -36,6 +37,7 @@ pub mod logreg;
 pub mod matrix;
 pub mod mlp;
 pub mod rng;
+pub mod rows;
 pub mod scaler;
 pub mod stats;
 pub mod vecops;
@@ -49,4 +51,5 @@ pub use logreg::{LogRegConfig, LogisticRegression};
 pub use matrix::DenseMatrix;
 pub use mlp::{Mlp, MlpConfig};
 pub use rng::Pcg32;
+pub use rows::Rows;
 pub use scaler::StandardScaler;

@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::activations::{cross_entropy, sigmoid};
 use crate::rng::Pcg32;
+use crate::rows::{visit_gathered, Rows, ShuffledEpochs};
 
 /// Training hyper-parameters for [`LogisticRegression::fit`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -98,70 +99,59 @@ impl LogisticRegression {
         sample_weights: Option<&[f32]>,
         cfg: &LogRegConfig,
     ) {
-        self.fit_inner(xs, ys, sample_weights, cfg, None);
+        self.fit_rows(xs, ys, sample_weights, cfg, None);
     }
 
-    /// Like [`fit`](Self::fit), but invokes `progress(epoch, log_loss)` after
-    /// every epoch (1-based). The loss is only computed when a callback is
-    /// attached, so `fit` pays nothing for this hook.
-    pub fn fit_with_progress(
+    /// Trains on `rows[i] → ys[i]` by shuffled SGD, reading each row from
+    /// `rows` once per epoch (see [`crate::rows`]). With `progress`, calls
+    /// `progress(epoch, log_loss)` after every epoch (1-based); the loss,
+    /// summed in row order, is only computed when a callback is attached.
+    ///
+    /// # Panics
+    /// Panics when shapes disagree or the dataset is empty.
+    pub fn fit_rows<R: Rows + ?Sized>(
         &mut self,
-        xs: &[Vec<f32>],
-        ys: &[f32],
-        sample_weights: Option<&[f32]>,
-        cfg: &LogRegConfig,
-        progress: &mut dyn FnMut(usize, f64),
-    ) {
-        self.fit_inner(xs, ys, sample_weights, cfg, Some(progress));
-    }
-
-    fn fit_inner(
-        &mut self,
-        xs: &[Vec<f32>],
+        rows: &R,
         ys: &[f32],
         sample_weights: Option<&[f32]>,
         cfg: &LogRegConfig,
         mut progress: Option<&mut dyn FnMut(usize, f64)>,
     ) {
-        assert_eq!(xs.len(), ys.len(), "xs and ys must align");
-        assert!(!xs.is_empty(), "empty training set");
+        assert_eq!(rows.len(), ys.len(), "xs and ys must align");
+        assert!(!rows.is_empty(), "empty training set");
         if let Some(sw) = sample_weights {
-            assert_eq!(sw.len(), xs.len(), "sample weights must align");
+            assert_eq!(sw.len(), ys.len(), "sample weights must align");
         }
-        let mut rng = Pcg32::seed_from_u64(cfg.seed);
-        let mut order: Vec<usize> = (0..xs.len()).collect();
-        let total_steps = (cfg.epochs * xs.len()).max(1) as f32;
-        let mut step = 0f32;
+        let rng = Pcg32::seed_from_u64(cfg.seed);
+        let mut epochs = ShuffledEpochs::new(rows, self.dim(), rng, cfg.lr, cfg.epochs);
         for epoch in 0..cfg.epochs {
-            // Fisher–Yates shuffle.
-            for i in (1..order.len()).rev() {
-                let j = rng.gen_range(i + 1);
-                order.swap(i, j);
-            }
-            for &i in &order {
-                let lr = cfg.lr * (1.0 - step / total_steps).max(0.01);
+            epochs.epoch(|i, x, lr| {
                 let sw = sample_weights.map_or(1.0, |s| s[i]);
-                self.sgd_step(&xs[i], ys[i], sw, lr, cfg.l2);
-                step += 1.0;
-            }
+                self.sgd_step(x, ys[i], sw, lr, cfg.l2);
+            });
             if let Some(cb) = progress.as_deref_mut() {
-                cb(epoch + 1, self.log_loss(xs, ys));
+                cb(epoch + 1, self.log_loss_rows(rows, ys));
             }
         }
     }
 
     /// Mean binary cross-entropy of the model on a dataset.
     pub fn log_loss(&self, xs: &[Vec<f32>], ys: &[f32]) -> f64 {
-        assert_eq!(xs.len(), ys.len());
-        if xs.is_empty() {
+        self.log_loss_rows(xs, ys)
+    }
+
+    /// [`log_loss`](Self::log_loss) over a row source, summed in row order.
+    fn log_loss_rows<R: Rows + ?Sized>(&self, rows: &R, ys: &[f32]) -> f64 {
+        assert_eq!(rows.len(), ys.len());
+        if ys.is_empty() {
             return 0.0;
         }
-        let total: f64 = xs
-            .iter()
-            .zip(ys)
-            .map(|(x, &y)| cross_entropy(y as f64, self.predict_proba(x) as f64))
-            .sum();
-        total / xs.len() as f64
+        let order: Vec<usize> = (0..ys.len()).collect();
+        let mut total = 0.0f64;
+        visit_gathered(rows, &order, self.dim(), &mut Vec::new(), |i, x| {
+            total += cross_entropy(ys[i] as f64, self.predict_proba(x) as f64);
+        });
+        total / ys.len() as f64
     }
 
     /// Classification accuracy at threshold 0.5 against hard labels.
@@ -221,15 +211,102 @@ mod tests {
         plain.fit(&xs, &ys, None, &cfg);
         let mut observed = LogisticRegression::new(2);
         let mut epochs = Vec::new();
-        observed.fit_with_progress(&xs, &ys, None, &cfg, &mut |epoch, loss| {
-            epochs.push((epoch, loss));
-        });
+        observed.fit_rows(
+            xs.as_slice(),
+            &ys,
+            None,
+            &cfg,
+            Some(&mut |epoch, loss| epochs.push((epoch, loss))),
+        );
         assert_eq!(observed.w, plain.w, "progress hook must not change training");
         assert_eq!(observed.b, plain.b);
         assert_eq!(epochs.len(), cfg.epochs);
         assert_eq!(epochs[0].0, 1);
         assert!(epochs.iter().all(|&(_, l)| l.is_finite()));
         assert!(epochs.last().unwrap().1 < epochs[0].1, "loss should decrease across epochs");
+    }
+
+    /// The per-sample SGD loop as written before the gathered epochs (f32
+    /// step counter included): the oracle for the bit-identity pins. Returns
+    /// the per-epoch losses, summed over the rows in index order.
+    fn reference_fit(
+        model: &mut LogisticRegression,
+        xs: &[Vec<f32>],
+        ys: &[f32],
+        sample_weights: Option<&[f32]>,
+        cfg: &LogRegConfig,
+    ) -> Vec<f64> {
+        let mut rng = Pcg32::seed_from_u64(cfg.seed);
+        let mut order: Vec<usize> = (0..xs.len()).collect();
+        let total_steps = (cfg.epochs * xs.len()).max(1) as f32;
+        let mut step = 0f32;
+        let mut losses = Vec::new();
+        for _ in 0..cfg.epochs {
+            for i in (1..order.len()).rev() {
+                let j = rng.gen_range(i + 1);
+                order.swap(i, j);
+            }
+            for &i in &order {
+                let lr = cfg.lr * (1.0 - step / total_steps).max(0.01);
+                let sw = sample_weights.map_or(1.0, |s| s[i]);
+                model.sgd_step(&xs[i], ys[i], sw, lr, cfg.l2);
+                step += 1.0;
+            }
+            let total: f64 = xs
+                .iter()
+                .zip(ys)
+                .map(|(x, &y)| cross_entropy(y as f64, model.predict_proba(x) as f64))
+                .sum();
+            losses.push(total / xs.len() as f64);
+        }
+        losses
+    }
+
+    #[test]
+    fn gathered_fit_is_bit_identical_to_the_per_sample_loop() {
+        // More rows than one gather block, so blocks and their seams are
+        // covered; noisy labels so the weights keep moving every epoch.
+        let mut rng = Pcg32::seed_from_u64(17);
+        let xs: Vec<Vec<f32>> =
+            (0..1_337).map(|_| (0..5).map(|_| rng.next_f32() * 2.0 - 1.0).collect()).collect();
+        let ys: Vec<f32> = xs
+            .iter()
+            .map(|x| if x[0] + 0.3 * x[1] + 0.4 * rng.next_f32() > 0.2 { 1.0 } else { 0.0 })
+            .collect();
+        let sw: Vec<f32> = (0..xs.len()).map(|_| 0.5 + rng.next_f32()).collect();
+        let cfg = LogRegConfig { epochs: 7, lr: 0.2, l2: 1e-3, seed: 23 };
+        let start = LogisticRegression::from_params(vec![0.1, -0.2, 0.0, 0.3, 0.05], -0.1);
+        for weights in [None, Some(sw.as_slice())] {
+            let mut reference = start.clone();
+            let losses = reference_fit(&mut reference, &xs, &ys, weights, &cfg);
+
+            let mut plain = start.clone();
+            plain.fit(&xs, &ys, weights, &cfg);
+            assert_eq!(
+                plain.w.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
+                reference.w.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
+            );
+            assert_eq!(plain.b.to_bits(), reference.b.to_bits());
+
+            let mut observed = start.clone();
+            let mut seen = Vec::new();
+            observed.fit_rows(
+                xs.as_slice(),
+                &ys,
+                weights,
+                &cfg,
+                Some(&mut |_, loss| seen.push(loss)),
+            );
+            assert_eq!(
+                observed.w.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
+                reference.w.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
+            );
+            assert_eq!(observed.b.to_bits(), reference.b.to_bits());
+            assert_eq!(
+                seen.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
+                losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 use crate::activations::sigmoid;
 use crate::matrix::DenseMatrix;
 use crate::rng::Pcg32;
+use crate::rows::{Rows, ShuffledEpochs};
 
 /// Training hyper-parameters for [`Mlp::fit`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -100,22 +101,20 @@ impl Mlp {
 
     /// Trains by shuffled SGD on `(xs, ys)`.
     pub fn fit(&mut self, xs: &[Vec<f32>], ys: &[f32], cfg: &MlpConfig) {
-        assert_eq!(xs.len(), ys.len(), "xs and ys must align");
-        assert!(!xs.is_empty(), "empty training set");
-        let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0xabcdef);
-        let mut order: Vec<usize> = (0..xs.len()).collect();
-        let total = (cfg.epochs * xs.len()).max(1) as f32;
-        let mut step = 0f32;
+        self.fit_rows(xs, ys, cfg);
+    }
+
+    /// Trains by shuffled SGD on `rows[i] → ys[i]`, reading each row from
+    /// `rows` once per epoch (see [`crate::rows`]).
+    pub fn fit_rows<R: Rows + ?Sized>(&mut self, rows: &R, ys: &[f32], cfg: &MlpConfig) {
+        assert_eq!(rows.len(), ys.len(), "xs and ys must align");
+        assert!(!rows.is_empty(), "empty training set");
+        let rng = Pcg32::seed_from_u64(cfg.seed ^ 0xabcdef);
+        let mut epochs = ShuffledEpochs::new(rows, self.input_dim(), rng, cfg.lr, cfg.epochs);
         for _ in 0..cfg.epochs {
-            for i in (1..order.len()).rev() {
-                let j = rng.gen_range(i + 1);
-                order.swap(i, j);
-            }
-            for &i in &order {
-                let lr = cfg.lr * (1.0 - step / total).max(0.01);
-                self.sgd_step(&xs[i], ys[i], lr, cfg.l2);
-                step += 1.0;
-            }
+            epochs.epoch(|i, x, lr| {
+                self.sgd_step(x, ys[i], lr, cfg.l2);
+            });
         }
     }
 
@@ -164,6 +163,40 @@ mod tests {
         mlp.fit(&xs, &ys, &MlpConfig { hidden: 8, epochs: 200, lr: 0.1, l2: 0.0, seed: 3 });
         let acc = mlp.accuracy(&xs, &ys);
         assert!(acc > 0.95, "XOR accuracy {acc}");
+    }
+
+    #[test]
+    fn gathered_fit_is_bit_identical_to_the_per_sample_loop() {
+        // More rows than one gather block.
+        let (xs, ys) = xor_data(700, 9);
+        let cfg = MlpConfig { hidden: 5, epochs: 4, lr: 0.1, l2: 1e-3, seed: 4 };
+        let start = Mlp::new(2, 5, &mut Pcg32::seed_from_u64(8));
+        let mut fitted = start.clone();
+        fitted.fit(&xs, &ys, &cfg);
+        // The loop as written before the gathered epochs, f32 counter included.
+        let mut reference = start;
+        let mut rng = Pcg32::seed_from_u64(cfg.seed ^ 0xabcdef);
+        let mut order: Vec<usize> = (0..xs.len()).collect();
+        let total = (cfg.epochs * xs.len()).max(1) as f32;
+        let mut step = 0f32;
+        for _ in 0..cfg.epochs {
+            for i in (1..order.len()).rev() {
+                let j = rng.gen_range(i + 1);
+                order.swap(i, j);
+            }
+            for &i in &order {
+                let lr = cfg.lr * (1.0 - step / total).max(0.01);
+                reference.sgd_step(&xs[i], ys[i], lr, cfg.l2);
+                step += 1.0;
+            }
+        }
+        let bits = |m: &Mlp| {
+            let mut v: Vec<u32> = m.w1.as_slice().iter().map(|x| x.to_bits()).collect();
+            v.extend(m.b1.iter().chain(&m.w2).map(|x| x.to_bits()));
+            v.push(m.b2.to_bits());
+            v
+        };
+        assert_eq!(bits(&fitted), bits(&reference));
     }
 
     #[test]
